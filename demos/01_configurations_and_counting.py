@@ -8,6 +8,11 @@ operations: canonical construction, windowed counting, restriction, the
 decomposition by point count, and test-function pairings.
 """
 
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))  # run from a checkout
+
 import numpy as np
 
 from platocone import (

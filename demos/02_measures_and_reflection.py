@@ -9,6 +9,11 @@ s * delta_x.  This script shows the correspondence, what it transports,
 and where it breaks down.
 """
 
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))  # run from a checkout
+
 import numpy as np
 
 from platocone import (
@@ -22,6 +27,7 @@ from platocone import (
     mass_in_window,
     reflect,
     reflect_inverse,
+    restrict,
     support,
     to_plato,
     weight_at,
@@ -66,11 +72,12 @@ print("\nlocal mass and window mass agree bitwise:",
 print("support = positions:",
       support(eta) == frozenset(p.position for p in plato.configuration.points))
 
-# dropping points shrinks the measure in the subordination order
-kept = tuple(p for p in plato.configuration.points if p.position[0] > 0)
-from platocone.configuration import Configuration  # noqa: E402
+# reflection relabels the stored arrays: the weights are the marks
+print("measure shares the configuration's arrays:",
+      np.shares_memory(eta.marks, plato.configuration.marks))
 
-smaller = reflect(to_plato(Configuration(kept, 1)))
+# dropping points shrinks the measure in the subordination order
+smaller = reflect(restrict(plato, Window((0.0,), (5.0,))))
 print("sub-configuration reflects to a sub-measure:", is_sub_measure(smaller, eta))
 
 ########################################################################

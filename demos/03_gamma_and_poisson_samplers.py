@@ -10,6 +10,11 @@ error is reported rather than hidden, and checks the window-mass law
 against the closed-form CDF oracle.
 """
 
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))  # run from a checkout
+
 import math
 
 import numpy as np

@@ -13,6 +13,11 @@ position, so it is not.  The space of measure preimages is not closed
 under the convergence the test functions see.
 """
 
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))  # run from a checkout
+
 from platocone import (
     check_convergence,
     cone_discrepancy,

@@ -10,8 +10,11 @@ given its flags (plus the PLATO_CONE_SEED environment variable).
 """
 
 import json
+import sys
 import tempfile
 from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))  # run from a checkout
 
 from platocone import Window, jsonl, make_configuration, sample_gamma, to_plato
 from platocone.cli import main as cli

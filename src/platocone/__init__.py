@@ -56,6 +56,7 @@ from .errors import (
     NonIntegrableDensity,
     NonPositiveMark,
     NonPositiveWeight,
+    NotCanonical,
     NotPinpointing,
     PlatoconeError,
     UnboundedWindow,
@@ -70,7 +71,6 @@ from .plato import (
 )
 from .sampling import (
     FiniteProduct,
-    GammaLevy,
     SampleReport,
     expected_truncation_error,
     sample_gamma,
@@ -130,7 +130,6 @@ __all__ = [
     "reflect_inverse",
     "to_plato",
     "FiniteProduct",
-    "GammaLevy",
     "SampleReport",
     "expected_truncation_error",
     "sample_gamma",
@@ -163,6 +162,7 @@ __all__ = [
     "NonIntegrableDensity",
     "NonPositiveMark",
     "NonPositiveWeight",
+    "NotCanonical",
     "NotPinpointing",
     "PlatoconeError",
     "UnboundedWindow",

@@ -18,8 +18,10 @@ import os
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import jsonl
-from .configuration import Configuration, TestFunction, Window, pair_configuration, restrict
+from .configuration import TestFunction, Window, count_in_window, indicator, pair_configuration, restrict
 from .cone import DiscreteMeasure, double_pair, mass_in_window
 from .errors import JsonlFormatError, PlatoconeError
 from .plato import PlatoConfiguration, is_pinpointing, reflect, reflect_inverse, to_plato
@@ -161,10 +163,8 @@ def _cmd_reflect(args) -> int:
     obj = _read_object(getattr(args, "in"))
     if isinstance(obj, DiscreteMeasure):
         result = reflect_inverse(obj)
-    elif isinstance(obj, PlatoConfiguration):
-        result = reflect(obj)
     else:
-        result = reflect(to_plato(obj))
+        result = reflect(obj if isinstance(obj, PlatoConfiguration) else to_plato(obj))
     _write_text(Path(args.out), jsonl.serialize(result))
     return 0
 
@@ -172,24 +172,13 @@ def _cmd_reflect(args) -> int:
 def _cmd_restrict(args) -> int:
     window = _parse_window(args.window, args.dim, args.mark_interval)
     obj = _read_object(getattr(args, "in"))
-    if isinstance(obj, DiscreteMeasure):
-        kept = tuple(
-            (pos, w)
-            for pos, w in obj.atoms
-            if window.contains_position(pos) and window.contains_mark(w)
-        )
-        result = DiscreteMeasure(kept, obj.dimension)
-    elif isinstance(obj, PlatoConfiguration):
-        result = to_plato(restrict(obj.configuration, window))
-    else:
-        result = restrict(obj, window)
-    _write_text(Path(args.out), jsonl.serialize(result))
+    _write_text(Path(args.out), jsonl.serialize(restrict(obj, window)))
     return 0
 
 
 def _pair_function(args, window: Window) -> TestFunction:
     if args.fn == "indicator":
-        return TestFunction(lambda s, x: 1.0, window, None, "phase")
+        return indicator(window)
     if args.fn == "mark":
         return TestFunction(lambda s, x: s, window, None, "phase")
     if window.mark_interval is None:
@@ -206,8 +195,6 @@ def _cmd_pair(args) -> int:
     obj = _read_object(getattr(args, "in"))
     if isinstance(obj, DiscreteMeasure):
         value = double_pair(fn, obj)
-    elif isinstance(obj, PlatoConfiguration):
-        value = pair_configuration(fn, obj.configuration)
     else:
         value = pair_configuration(fn, obj)
     _emit_json(args, {"value": value})
@@ -229,9 +216,7 @@ def _cmd_stats(args) -> int:
 
     volume = window.volume()
     masses = [mass_in_window(eta, window) for eta in measures]
-    counts = [
-        sum(1 for pos, _ in eta.atoms if window.contains_position(pos)) for eta in measures
-    ]
+    counts = [count_in_window(eta, window) for eta in measures]
     n = len(measures)
     # the 0.02 floor is the large-sample contract; below ~6600 samples the
     # 1% KS critical value 1.63/sqrt(n) is the binding threshold
@@ -268,35 +253,29 @@ def _cmd_stats(args) -> int:
 
 def _family_for(configs):
     """A hat family whose supports cover all points of the given configurations."""
-    points = [p for c in configs for p in c.points]
     d = configs[0].dimension
-    if not points:
-        lo = tuple(-1.0 for _ in range(d))
-        hi = tuple(1.0 for _ in range(d))
-        return hat_family(Window(lo, hi), (2,) * d, (0.0, 2.0))
-    lo = tuple(min(p.position[i] for p in points) - 1.0 for i in range(d))
-    hi = tuple(max(p.position[i] for p in points) + 1.0 for i in range(d))
-    top_mark = max(p.mark for p in points) + 1.0
-    return hat_family(Window(lo, hi), (2,) * d, (0.0, top_mark))
+    marks = np.concatenate([c.marks for c in configs])
+    if not marks.size:
+        return hat_family(Window((-1.0,) * d, (1.0,) * d), (2,) * d, (0.0, 2.0))
+    positions = np.concatenate([c.positions for c in configs])
+    lo = positions.min(axis=0) - 1.0
+    hi = positions.max(axis=0) + 1.0
+    return hat_family(Window(lo, hi), (2,) * d, (0.0, float(marks.max()) + 1.0))
+
+
+def _read_configuration(path: str):
+    obj = _read_object(path)
+    if isinstance(obj, DiscreteMeasure):
+        _fail(f"{path}: converge expects configuration inputs")
+    return obj
 
 
 def _cmd_converge(args) -> int:
     if getattr(args, "in"):
         if not args.limit:
             _fail("converge with --in requires --limit")
-        configs = []
-        for path in getattr(args, "in"):
-            obj = _read_object(path)
-            if isinstance(obj, PlatoConfiguration):
-                obj = obj.configuration
-            if not isinstance(obj, Configuration):
-                _fail(f"{path}: converge expects configuration inputs")
-            configs.append(obj)
-        limit = _read_object(args.limit)
-        if isinstance(limit, PlatoConfiguration):
-            limit = limit.configuration
-        if not isinstance(limit, Configuration):
-            _fail(f"{args.limit}: converge expects a configuration limit")
+        configs = [_read_configuration(path) for path in getattr(args, "in")]
+        limit = _read_configuration(args.limit)
         family = _family_for(configs + [limit])
         result = check_convergence(
             lambda n: configs[n - 1], limit, family, args.tol, len(configs)

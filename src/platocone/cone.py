@@ -6,9 +6,12 @@ distinct positions; the zero measure (no atoms) is included.  The set of
 such measures is a cone: it is closed under addition and under scaling by
 positive reals, but contains no inverses.
 
-Atoms are stored sorted by position so that iteration order, summation
-order and serialization are reproducible.  Position lookups use binary
-search on the sorted atom table.
+A measure is stored exactly like a configuration (:mod:`.configuration`):
+read-only ``marks`` (here the weights) and ``positions`` arrays, sorted by
+position.  Window mass and both pairings are the configuration kernels
+run on those arrays, so iteration order, summation order and
+serialization are reproducible, and ``(position, weight)`` atom tuples
+are built only when ``atoms`` is read.
 
 Although every discrete measure is also a Radon measure, no vague-topology
 distance is exposed here: the only discrepancies defined on measures live
@@ -19,75 +22,53 @@ bijection with configurations.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
-from .configuration import TestFunction, Window, clean_position
+import numpy as np
+
+from .configuration import TestFunction, Window, _mass, _pair, _PointArrays, _rows, _total, clean_position
 from .errors import DimensionMismatch, InvalidArgument, NonPositiveWeight
 
 
-@dataclass(frozen=True)
-class DiscreteMeasure:
+class DiscreteMeasure(_PointArrays):
     """Finite positive discrete measure, atoms sorted by position.
 
-    ``atoms`` is a tuple of ``(position, weight)`` pairs with positions
-    strictly increasing in lexicographic order and weights positive finite
-    reals.  Use :func:`make_measure` to construct from unordered input.
+    ``DiscreteMeasure(weights, positions)`` validates arrays with
+    positions strictly increasing in lexicographic order and weights
+    positive finite reals.  Use :func:`make_measure` to construct from
+    unordered input.
     """
 
-    atoms: tuple
-    dimension: int
+    __slots__ = ()
+    _bad_mark = NonPositiveWeight
+    _mark_in_key = False
 
-    def __post_init__(self):
-        d = int(self.dimension)
-        if d < 1:
-            raise InvalidArgument(f"dimension must be >= 1, got {d}")
-        object.__setattr__(self, "dimension", d)
-        cleaned = []
-        prev = None
-        for position, weight in self.atoms:
-            pos = clean_position(position)
-            w = float(weight)
-            if len(pos) != d:
-                raise DimensionMismatch(
-                    f"atom position {list(pos)} has {len(pos)} coordinates, expected {d}"
-                )
-            if not (math.isfinite(w) and w > 0.0):
-                raise NonPositiveWeight(f"atom weight must be a positive finite real, got {weight!r}")
-            if prev is not None and pos <= prev:
-                raise InvalidArgument("measure atoms must be sorted by strictly increasing position")
-            prev = pos
-            cleaned.append((pos, w))
-        object.__setattr__(self, "atoms", tuple(cleaned))
+    @property
+    def atoms(self) -> tuple:
+        """``(position, weight)`` pairs, built on each read."""
+        return tuple(zip(map(tuple, self.positions.tolist()), self.marks.tolist()))
 
-    def __len__(self) -> int:
-        return len(self.atoms)
-
-    def __iter__(self) -> Iterator[tuple]:
+    def __iter__(self):
         return iter(self.atoms)
 
     def is_zero(self) -> bool:
-        return not self.atoms
+        return len(self) == 0
 
     def total_mass(self) -> float:
         """Sum of all weights, accumulated in position order."""
-        total = 0.0
-        for _, w in self.atoms:
-            total += w
-        return total
+        return _total(self.marks)
 
     def scaled(self, c: float) -> "DiscreteMeasure":
         """The measure ``c * eta`` for ``c > 0`` (cone scaling)."""
         c = float(c)
         if not (math.isfinite(c) and c > 0.0):
             raise InvalidArgument(f"cone scaling requires c > 0, got {c}")
-        return DiscreteMeasure(tuple((pos, c * w) for pos, w in self.atoms), self.dimension)
+        return DiscreteMeasure(c * self.marks, self.positions)
 
 
 def zero_measure(d: int) -> DiscreteMeasure:
     """The zero measure in dimension ``d`` (by convention part of the cone)."""
-    return DiscreteMeasure((), d)
+    return DiscreteMeasure(np.empty(0), np.empty((0, d)))
 
 
 def make_measure(atoms: Iterable, d: int) -> DiscreteMeasure:
@@ -105,27 +86,12 @@ def make_measure(atoms: Iterable, d: int) -> DiscreteMeasure:
     DimensionMismatch
         If any position length differs from ``d``.
     """
-    merged = {}
-    for weight, position in atoms:
-        pos = clean_position(position)
-        if len(pos) != d:
-            raise DimensionMismatch(
-                f"position {list(pos)} has {len(pos)} coordinates, expected {d}"
-            )
-        w = float(weight)
-        if not (math.isfinite(w) and w > 0.0):
-            raise NonPositiveWeight(f"atom weight must be a positive finite real, got {weight!r}")
-        if pos in merged:
-            merged[pos] += w
-        else:
-            merged[pos] = w
-    ordered = tuple((pos, merged[pos]) for pos in sorted(merged))
-    return DiscreteMeasure(ordered, d)
+    return DiscreteMeasure._canonical(*_rows(atoms, d))
 
 
 def support(eta: DiscreteMeasure) -> frozenset:
     """The support: the set of positions carrying positive weight."""
-    return frozenset(pos for pos, _ in eta.atoms)
+    return frozenset(map(tuple, eta.positions.tolist()))
 
 
 def weight_at(eta: DiscreteMeasure, x) -> float:
@@ -135,29 +101,21 @@ def weight_at(eta: DiscreteMeasure, x) -> float:
         raise DimensionMismatch(
             f"position of length {len(pos)} against measure of dimension {eta.dimension}"
         )
-    i = bisect_left(eta.atoms, (pos,))
-    if i < len(eta.atoms) and eta.atoms[i][0] == pos:
-        return eta.atoms[i][1]
-    return 0.0
+    hit = np.flatnonzero(np.all(eta.positions == pos, axis=1))
+    return float(eta.marks[hit[0]]) if hit.size else 0.0
 
 
-def is_sub_measure(xi: DiscreteMeasure, eta: DiscreteMeasure, *, require_finite_support: bool = False) -> bool:
+def is_sub_measure(xi: DiscreteMeasure, eta: DiscreteMeasure) -> bool:
     """Subordination test: every atom of ``xi`` is an atom of ``eta`` with
     bitwise-equal weight.
 
     This is a partial order on discrete measures (reflexive, antisymmetric,
-    transitive).  ``require_finite_support`` selects the finite variant of
-    the relation, which additionally demands ``|support(xi)| < inf``; every
-    measure materialized by this package has finite support, so the flag
-    never changes the outcome and exists to make the distinction explicit.
+    transitive).
     """
     if xi.dimension != eta.dimension:
         raise DimensionMismatch(
             f"measures of dimensions {xi.dimension} and {eta.dimension}"
         )
-    # require_finite_support: materialized measures always have finite
-    # support, so the finite variant of the relation coincides with the
-    # plain one here; the flag names the distinction without changing it
     return all(weight_at(eta, pos) == w for pos, w in xi.atoms)
 
 
@@ -167,37 +125,17 @@ def pair_measure(f: TestFunction, eta: DiscreteMeasure) -> float:
     ``f`` must be a position-domain function; only atoms inside its
     support contribute, summed in position order.
     """
-    if f.domain != "space":
-        raise InvalidArgument("pair_measure expects a position-domain function f(x)")
-    if f.dimension != eta.dimension:
-        raise DimensionMismatch(
-            f"function over dimension {f.dimension}, measure over {eta.dimension}"
-        )
-    total = 0.0
-    for pos, w in eta.atoms:
-        if f.support.contains_position(pos):
-            total += w * f(pos)
-    return total
+    return _pair(f, eta, "space")
 
 
 def double_pair(f: TestFunction, eta: DiscreteMeasure) -> float:
     """The pairing ``<<f, eta>> = sum over atoms of f(weight, position)``.
 
     This treats each atom ``w * delta_x`` as the phase point ``(w, x)``:
-    it equals ``pair_configuration(f, reflect_inverse(eta))`` bitwise,
-    since atoms are visited in the same canonical order on both routes.
+    it is the configuration pairing run on the same arrays, so it equals
+    ``pair_configuration(f, reflect_inverse(eta))`` bitwise.
     """
-    if f.domain != "phase":
-        raise InvalidArgument("double_pair expects a phase-domain function f(s, x)")
-    if f.dimension != eta.dimension:
-        raise DimensionMismatch(
-            f"function over dimension {f.dimension}, measure over {eta.dimension}"
-        )
-    total = 0.0
-    for pos, w in eta.atoms:
-        if f.support.contains_position(pos) and f.support.contains_mark(w):
-            total += f(w, pos)
-    return total
+    return _pair(f, eta, "phase")
 
 
 def mass_in_window(eta: DiscreteMeasure, lam: Window) -> float:
@@ -207,12 +145,4 @@ def mass_in_window(eta: DiscreteMeasure, lam: Window) -> float:
     additionally needs ``w`` in that interval; this mirrors the membership
     rule for the marked point ``(w, x)`` under reflection.
     """
-    if lam.dimension != eta.dimension:
-        raise DimensionMismatch(
-            f"window of dimension {lam.dimension}, measure of dimension {eta.dimension}"
-        )
-    total = 0.0
-    for pos, w in eta.atoms:
-        if lam.contains_position(pos) and lam.contains_mark(w):
-            total += w
-    return total
+    return _mass(eta, lam)

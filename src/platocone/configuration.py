@@ -1,9 +1,10 @@
-"""Marked points, windows, test functions and finite configurations.
+"""Marked points, windows, test functions, configurations and the window kernels.
 
 A configuration is a finite set of marked points ``(s, x)`` with mark
 ``s > 0`` and position ``x`` in R^d.  Configurations have set semantics:
 construction order never matters, exact duplicates are dropped, and the
-points are stored in a canonical order (lexicographic in the position
+points are stored as read-only ``marks: float64[n]`` and ``positions:
+float64[n, d]`` arrays in canonical order (lexicographic in the position
 coordinates, then the mark).  The canonical order is what makes equality,
 serialization and floating-point summation reproducible.
 
@@ -11,6 +12,12 @@ Windows are half-open axis-aligned boxes ``prod [lo_i, hi_i)``, optionally
 restricted to a mark interval ``(a, b]``.  Half-open boxes tile exactly,
 so disjoint unions of windows behave additively without boundary
 double-counting.
+
+Count, mass, restriction and pairing are each one kernel here, over a
+boolean window mask.  Measures (:mod:`.cone`) and pinpointing
+configurations (:mod:`.plato`) hold the same two arrays and run the same
+kernels, so quantities agree bitwise across the reflection by
+construction.
 
 Position and mark comparisons are exact: two floats are the same
 coordinate if and only if they are equal as doubles (``-0.0`` is
@@ -23,13 +30,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
-from .errors import (
-    DimensionMismatch,
-    InvalidArgument,
-    NonPositiveMark,
-)
+import numpy as np
+
+from .errors import DimensionMismatch, InvalidArgument, NonPositiveMark, NotCanonical
 
 Position = tuple  # tuple of float coordinates
 
@@ -67,13 +72,6 @@ class MarkedPoint:
             raise NonPositiveMark(f"mark must be a positive finite real, got {self.mark!r}")
         object.__setattr__(self, "mark", m)
         object.__setattr__(self, "position", clean_position(self.position))
-
-    @property
-    def dimension(self) -> int:
-        return len(self.position)
-
-    def sort_key(self):
-        return (self.position, self.mark)
 
 
 @dataclass(frozen=True)
@@ -145,27 +143,6 @@ class Window:
             return True
         a, b = self.mark_interval
         return a < mark <= b
-
-    def contains(self, point: MarkedPoint) -> bool:
-        return self.contains_position(point.position) and self.contains_mark(point.mark)
-
-    def covers(self, other: "Window") -> bool:
-        """True when ``other`` is contained in this window (box and mark range)."""
-        if other.dimension != self.dimension:
-            raise DimensionMismatch("windows of different dimension")
-        boxes = all(
-            sa <= oa and ob <= sb
-            for sa, sb, oa, ob in zip(self.lower, self.upper, other.lower, other.upper)
-        )
-        if not boxes:
-            return False
-        if self.mark_interval is None:
-            return True
-        if other.mark_interval is None:
-            return False
-        sa, sb = self.mark_interval
-        oa, ob = other.mark_interval
-        return sa <= oa and ob <= sb
 
 
 @dataclass(frozen=True)
@@ -266,63 +243,179 @@ def linear_combination(terms: Sequence[tuple]) -> TestFunction:
     support = Window(lower, upper, mark_interval)
     lip = None
     if all(fn.lipschitz is not None for fn in fns):
-        lip = sum(abs(c) * fn.lipschitz for c, fn in zip(coefs, fns))
-    if domain == _SPACE:
-        ev = lambda x: sum(c * fn(x) for c, fn in zip(coefs, fns))
-        return TestFunction(ev, support, lip, _SPACE)
-    ev = lambda s, x: sum(c * fn(s, x) for c, fn in zip(coefs, fns))
-    return TestFunction(ev, support, lip, _PHASE)
+        lip = _total([abs(c) * fn.lipschitz for c, fn in zip(coefs, fns)])
+
+    def ev(*args):
+        total = 0.0
+        for c, fn in zip(coefs, fns):
+            total += c * fn(*args)
+        return total
+
+    return TestFunction(ev, support, lip, domain)
 
 
-@dataclass(frozen=True)
-class Configuration:
-    """A finite set of marked points in canonical order.
+def _total(values) -> float:
+    """Sequential sum from 0.0 in the given order.
 
-    Do not build instances directly; use :func:`make_configuration`, which
-    validates, deduplicates and sorts.  Stored invariants are re-checked
-    here so that hand-rolled instances cannot violate them silently.
+    Bitwise equal to ``t = 0.0; for v in values: t += v``: ``np.cumsum``
+    accumulates left to right, and the leading ``0.0 +`` turns a sum of
+    ``-0.0`` terms into ``0.0`` as the loop does.  ``ndarray.sum`` (pairwise)
+    and builtin ``sum`` (compensated from Python 3.12) round differently.
+    """
+    acc = np.cumsum(values)
+    return 0.0 + float(acc[-1]) if acc.size else 0.0
+
+
+def _first_unordered(marks: np.ndarray, positions: np.ndarray, with_mark: bool):
+    """Index of the first row not strictly after its predecessor, or None.
+
+    Rows compare lexicographically by position, then (``with_mark``) by
+    mark.  On a canonical configuration, ``with_mark=False`` finds the
+    first position shared by two points.
+    """
+    keys = np.column_stack((positions, marks)) if with_mark else positions
+    prev, cur = keys[:-1], keys[1:]
+    differ = prev != cur
+    first = differ.argmax(axis=1)  # first differing column, 0 for equal rows
+    rows = np.arange(len(first))
+    ok = differ[rows, first] & (cur[rows, first] > prev[rows, first])
+    bad = np.flatnonzero(~ok)
+    return int(bad[0]) + 1 if bad.size else None
+
+
+class _PointArrays:
+    """Read-only ``marks: float64[n]`` and ``positions: float64[n, d]`` in
+    canonical order: the storage shared by configurations and measures.
+
+    The constructor validates copies of its arguments and rejects rows
+    that are out of canonical order or repeated (:class:`NotCanonical`);
+    it never reorders or merges.  ``_canonical`` sorts and merges first;
+    ``_wrap`` adopts arrays that are already valid, without copying.
     """
 
-    points: tuple
-    dimension: int
+    __slots__ = ("marks", "positions")
+    _bad_mark = NonPositiveMark
+    _mark_in_key = True  # canonical key (position, mark); False: position alone
 
-    def __post_init__(self):
-        d = int(self.dimension)
-        if d < 1:
-            raise InvalidArgument(f"dimension must be >= 1, got {d}")
-        object.__setattr__(self, "dimension", d)
-        object.__setattr__(self, "points", tuple(self.points))
-        prev = None
-        for p in self.points:
-            if not isinstance(p, MarkedPoint):
-                raise InvalidArgument("configuration points must be MarkedPoint instances")
-            if p.dimension != d:
-                raise DimensionMismatch(
-                    f"point of dimension {p.dimension} in configuration of dimension {d}"
-                )
-            key = p.sort_key()
-            if prev is not None:
-                if key == prev:
-                    raise InvalidArgument(f"duplicate point {p} in configuration")
-                if key < prev:
-                    raise InvalidArgument("configuration points not in canonical order")
-            prev = key
+    def __init__(self, marks, positions):
+        marks, positions = self._checked(marks, positions)
+        i = _first_unordered(marks, positions, self._mark_in_key)
+        if i is not None:
+            raise NotCanonical(
+                i, f"row {i} at {positions[i].tolist()} repeats or precedes row {i - 1}"
+            )
+        self._adopt(marks, positions)
+
+    @classmethod
+    def _checked(cls, marks, positions):
+        marks = np.array(marks, dtype=float)
+        positions = np.array(positions, dtype=float)
+        if marks.ndim != 1 or positions.ndim != 2 or len(positions) != len(marks):
+            raise InvalidArgument("expected marks of shape (n,) and positions of shape (n, d)")
+        if positions.shape[1] < 1:
+            raise InvalidArgument("dimension must be >= 1, got 0")
+        good = (marks > 0.0) & (marks < math.inf)  # False for NaN
+        if not good.all():
+            raise cls._bad_mark(f"{marks[~good][0]!r} is not a positive finite real")
+        if not np.isfinite(positions).all():
+            raise InvalidArgument("coordinates must be finite")
+        positions += 0.0  # fold -0.0 into 0.0 so that ordering, equality and bits agree
+        return marks, positions
+
+    @classmethod
+    def _canonical(cls, marks, positions):
+        """Validate, sort into canonical order and drop exact repeats; for
+        measures, atoms at one position merge into one whose weight is the
+        sum, in input order, of theirs."""
+        marks, positions = cls._checked(marks, positions)
+        keys = tuple(positions.T[::-1])
+        order = np.lexsort((marks,) + keys if cls._mark_in_key else keys)  # stable
+        marks, positions = marks[order], positions[order]
+        repeat = (positions[1:] == positions[:-1]).all(axis=1)
+        if cls._mark_in_key:
+            repeat &= marks[1:] == marks[:-1]
+        if repeat.any():
+            starts = np.flatnonzero(np.concatenate(([True], ~repeat)))
+            if not cls._mark_in_key:
+                ends = np.append(starts[1:], len(marks))
+                runs = ends - starts > 1
+                for a, b in zip(starts[runs], ends[runs]):
+                    marks[a] = np.cumsum(marks[a:b])[-1]
+            marks, positions = marks[starts], positions[starts]
+        return cls._wrap(marks, positions)
+
+    @classmethod
+    def _wrap(cls, marks, positions):
+        obj = object.__new__(cls)
+        obj._adopt(marks, positions)
+        return obj
+
+    def _adopt(self, marks, positions):
+        marks.flags.writeable = False
+        positions.flags.writeable = False
+        object.__setattr__(self, "marks", marks)
+        object.__setattr__(self, "positions", positions)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    @property
+    def dimension(self) -> int:
+        return self.positions.shape[1]
 
     def __len__(self) -> int:
-        return len(self.points)
+        return len(self.marks)
 
-    def __iter__(self) -> Iterator[MarkedPoint]:
+    def __eq__(self, other) -> bool:
+        # no NaN and no -0.0 is ever stored, so == is bitwise equality
+        return (
+            type(self) is type(other)
+            and np.array_equal(self.marks, other.marks)
+            and np.array_equal(self.positions, other.positions)
+        )
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(n={len(self)}, d={self.dimension})"
+
+
+class Configuration(_PointArrays):
+    """A finite set of marked points in canonical order.
+
+    ``Configuration(marks, positions)`` validates arrays that are already
+    canonical; use :func:`make_configuration` to build one from unordered
+    points.
+    """
+
+    __slots__ = ()
+
+    @property
+    def points(self) -> tuple:
+        """The points as ``MarkedPoint`` objects, built on each read."""
+        return tuple(
+            MarkedPoint(s, tuple(x)) for s, x in zip(self.marks.tolist(), self.positions.tolist())
+        )
+
+    def __iter__(self):
         return iter(self.points)
 
     def is_empty(self) -> bool:
-        return not self.points
+        return len(self) == 0
 
     def total_mark(self) -> float:
         """Sum of all marks, accumulated in canonical order."""
-        total = 0.0
-        for p in self.points:
-            total += p.mark
-        return total
+        return _total(self.marks)
+
+
+def _rows(raw, d: int):
+    """``(value, position)`` pairs or ``MarkedPoint`` instances as two arrays."""
+    values, coords = [], []
+    for item in raw:
+        v, x = (item.mark, item.position) if isinstance(item, MarkedPoint) else item
+        if len(x) != d:
+            raise DimensionMismatch(f"position {list(x)} has {len(x)} coordinates, expected {d}")
+        values.append(v)
+        coords.append(x)
+    return values, np.array(coords, dtype=float).reshape(len(coords), d)
 
 
 def make_configuration(raw_points: Iterable, d: int) -> Configuration:
@@ -346,42 +439,54 @@ def make_configuration(raw_points: Iterable, d: int) -> Configuration:
     DimensionMismatch
         If any position length differs from ``d``.
     """
-    points = {}
-    for raw in raw_points:
-        if isinstance(raw, MarkedPoint):
-            p = raw
-        else:
-            mark, position = raw
-            p = MarkedPoint(mark, tuple(position))
-        if p.dimension != d:
-            raise DimensionMismatch(
-                f"position {list(p.position)} has {p.dimension} coordinates, expected {d}"
-            )
-        points[p.sort_key()] = p
-    ordered = tuple(points[k] for k in sorted(points))
-    return Configuration(ordered, d)
+    return Configuration._canonical(*_rows(raw_points, d))
+
+
+def _bounds(windows, with_marks: bool = True):
+    """Stacked window bounds, shaped to broadcast against ``n`` points."""
+    lo = np.array([w.lower for w in windows])[:, None, :]
+    hi = np.array([w.upper for w in windows])[:, None, :]
+    everything = (-math.inf, math.inf)
+    iv = np.array([(w.mark_interval if with_marks else None) or everything for w in windows])
+    return lo, hi, iv[:, :1], iv[:, 1:]
+
+
+def _window_masks(bounds, data) -> np.ndarray:
+    """Membership of every point in every window: ``bool[k, n]``."""
+    lo, hi, a, b = bounds
+    x, s = data.positions, data.marks
+    return ((x >= lo) & (x < hi)).all(axis=2) & (s > a) & (s <= b)
+
+
+def _mask(data, lam: Window) -> np.ndarray:
+    if data.dimension != lam.dimension:
+        raise DimensionMismatch(f"data of dimension {data.dimension}, window of {lam.dimension}")
+    return _window_masks(_bounds((lam,)), data)[0]
 
 
 def count_in_window(gamma: Configuration, lam: Window) -> int:
-    """Number of points of ``gamma`` inside the window.
+    """Number of points of ``gamma`` (or atoms of a measure) inside the window.
 
     Membership is the half-open box test on the position, combined with
     the mark interval ``(a, b]`` when the window declares one.
     """
-    _check_dims(gamma, lam)
-    return sum(1 for p in gamma.points if lam.contains(p))
+    return int(np.count_nonzero(_mask(gamma, lam)))
 
 
 def restrict(gamma: Configuration, lam: Window) -> Configuration:
-    """The sub-configuration of points inside the window.
+    """The sub-configuration (or sub-measure) of points inside the window.
 
     Restriction preserves canonical order, is idempotent, and is
     consistent under nesting: restricting to an inner window factors
     through any outer window containing it.
     """
-    _check_dims(gamma, lam)
-    kept = tuple(p for p in gamma.points if lam.contains(p))
-    return Configuration(kept, gamma.dimension)
+    mask = _mask(gamma, lam)
+    return type(gamma)._wrap(gamma.marks[mask], gamma.positions[mask])
+
+
+def _mass(data, lam: Window) -> float:
+    """Sum of the marks (weights) inside the window, in canonical order."""
+    return _total(data.marks[_mask(data, lam)])
 
 
 def n_point_class(gamma: Configuration, lam: Window) -> int:
@@ -405,6 +510,45 @@ def canonical_order(gamma: Configuration) -> list:
     return list(gamma.points)
 
 
+def _finite(value) -> float:
+    v = float(value)
+    if not math.isfinite(v):
+        raise InvalidArgument("test function returned a non-finite value on its support")
+    return v
+
+
+def _pairings(functions: Sequence[TestFunction], bounds, data) -> list:
+    """``<f, data>`` for each function (all of one domain), with the support
+    bounds stacked in ``bounds``.
+
+    The points inside a function's support are visited in canonical order
+    and their values summed sequentially: ``f(s, x)`` for phase functions,
+    ``s * f(x)`` for position functions.
+    """
+    totals = [0.0] * len(functions)
+    evs = [f.evaluator for f in functions]
+    # row-major: member by member, each member's points in canonical order
+    members, points = _window_masks(bounds, data).nonzero()
+    hits = zip(
+        members.tolist(), data.marks[points].tolist(), map(tuple, data.positions[points].tolist())
+    )
+    if functions[0].domain == _PHASE:
+        for j, s, x in hits:
+            totals[j] += _finite(evs[j](s, x))
+    else:
+        for j, s, x in hits:
+            totals[j] += s * _finite(evs[j](x))
+    return totals
+
+
+def _pair(f: TestFunction, data, domain: str) -> float:
+    if f.domain != domain:
+        raise InvalidArgument(f"expected a {domain}-domain test function, got {f.domain!r}")
+    if f.dimension != data.dimension:
+        raise DimensionMismatch(f"function over dimension {f.dimension}, data over {data.dimension}")
+    return _pairings((f,), _bounds((f.support,), domain == _PHASE), data)[0]
+
+
 def pair_configuration(f: TestFunction, gamma: Configuration) -> float:
     """The pairing ``<f, gamma> = sum over points (s, x) of f(s, x)``.
 
@@ -413,21 +557,4 @@ def pair_configuration(f: TestFunction, gamma: Configuration) -> float:
     pairing bitwise reproducible and exactly local: pairing against
     ``restrict(gamma, f.support)`` gives the identical float.
     """
-    if f.domain != _PHASE:
-        raise InvalidArgument("pair_configuration expects a phase-domain function f(s, x)")
-    if f.dimension != gamma.dimension:
-        raise DimensionMismatch(
-            f"function over dimension {f.dimension}, configuration over {gamma.dimension}"
-        )
-    total = 0.0
-    for p in gamma.points:
-        if f.support.contains(p):
-            total += f(p.mark, p.position)
-    return total
-
-
-def _check_dims(gamma: Configuration, lam: Window) -> None:
-    if gamma.dimension != lam.dimension:
-        raise DimensionMismatch(
-            f"configuration of dimension {gamma.dimension}, window of dimension {lam.dimension}"
-        )
+    return _pair(f, gamma, _PHASE)

@@ -66,6 +66,14 @@ class InvalidArgument(PlatoconeError):
     """Catch-all for argument validation outside the specific classes above."""
 
 
+class NotCanonical(InvalidArgument):
+    """Row ``index`` repeats its predecessor or sorts before it."""
+
+    def __init__(self, index: int, message: str):
+        self.index = index
+        super().__init__(message)
+
+
 class DegenerateTable(PlatoconeError):
     """A contingency table has an empty row or column, or fewer than two
     categories along some margin."""

@@ -11,19 +11,24 @@ that round-trips (Python's ``repr``).  Parsing a canonical file and
 serializing the result reproduces the input byte for byte, and every
 finite double survives the round trip bit for bit.
 
-Loading a ``plato`` file re-validates the pinpointing property and fails
-loudly if it does not hold.
+Parsing is strict: the records go straight into the validating
+constructor, never through the merging ``make_*`` builders.  A record
+that repeats its predecessor or sorts before it is rejected with a
+:class:`JsonlFormatError` naming its line, so every file the parser
+accepts is in canonical order.  Loading a ``plato`` file also re-validates the
+pinpointing property and fails loudly if it does not hold.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from pathlib import Path
 
-from .configuration import Configuration, make_configuration
-from .cone import DiscreteMeasure, make_measure
-from .errors import JsonlFormatError
+import numpy as np
+
+from .configuration import Configuration
+from .cone import DiscreteMeasure
+from .errors import JsonlFormatError, NotCanonical
 from .plato import PlatoConfiguration, to_plato
 from .sampling import SampleReport
 
@@ -39,31 +44,16 @@ def _dump_line(obj: dict) -> str:
 
 def serialize(obj) -> str:
     """Render a configuration, plato configuration or measure as JSONL text."""
-    if isinstance(obj, PlatoConfiguration):
-        kind = KIND_PLATO
-        d = obj.dimension
-        lines = [_dump_line({"s": p.mark, "x": list(p.position)}) for p in obj.configuration.points]
-    elif isinstance(obj, Configuration):
-        kind = KIND_CONFIGURATION
-        d = obj.dimension
-        lines = [_dump_line({"s": p.mark, "x": list(p.position)}) for p in obj.points]
-    elif isinstance(obj, DiscreteMeasure):
-        kind = KIND_MEASURE
-        d = obj.dimension
-        lines = [_dump_line({"w": w, "x": list(pos)}) for pos, w in obj.atoms]
-    else:
+    kinds = {PlatoConfiguration: KIND_PLATO, Configuration: KIND_CONFIGURATION, DiscreteMeasure: KIND_MEASURE}
+    kind = kinds.get(type(obj))
+    if kind is None:
         raise JsonlFormatError(f"cannot serialize object of type {type(obj).__name__}")
-    header = _dump_line({"d": d, "kind": kind})
+    key = "w" if kind == KIND_MEASURE else "s"
+    lines = [
+        _dump_line({key: v, "x": x}) for v, x in zip(obj.marks.tolist(), obj.positions.tolist())
+    ]
+    header = _dump_line({"d": obj.dimension, "kind": kind})
     return "\n".join([header] + lines) + "\n"
-
-
-def _parse_number(value, what: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise JsonlFormatError(f"{what} must be a JSON number, got {value!r}")
-    v = float(value)
-    if not math.isfinite(v):
-        raise JsonlFormatError(f"{what} must be finite, got {v}")
-    return v
 
 
 def _parse_record(line: str, lineno: int, value_key: str, d: int):
@@ -73,12 +63,13 @@ def _parse_record(line: str, lineno: int, value_key: str, d: int):
         raise JsonlFormatError(f"line {lineno}: invalid JSON ({exc.msg})") from exc
     if not isinstance(rec, dict) or set(rec) != {value_key, "x"}:
         raise JsonlFormatError(f"line {lineno}: expected keys {{{value_key!r}, 'x'}}")
-    value = _parse_number(rec[value_key], f"line {lineno}: {value_key!r}")
-    x = rec["x"]
+    value, x = rec[value_key], rec["x"]
     if not isinstance(x, list) or len(x) != d:
         raise JsonlFormatError(f"line {lineno}: 'x' must be a list of {d} coordinates")
-    position = tuple(_parse_number(c, f"line {lineno}: coordinate") for c in x)
-    return value, position
+    # type(), not isinstance(): JSON true/false load as bool, an int subclass
+    if not all(type(v) in (int, float) for v in [value, *x]):
+        raise JsonlFormatError(f"line {lineno}: {value_key!r} and 'x' must hold JSON numbers")
+    return value, x
 
 
 def parse(text: str):
@@ -86,8 +77,9 @@ def parse(text: str):
 
     Returns a :class:`Configuration`, :class:`PlatoConfiguration` or
     :class:`DiscreteMeasure`.  Raises :class:`JsonlFormatError` on schema
-    violations and :class:`NotPinpointing` when a ``plato`` file carries a
-    duplicated position.
+    violations and on records out of canonical order or repeated (the
+    message names the line), and :class:`NotPinpointing` when a ``plato``
+    file carries a duplicated position.
     """
     lines = text.splitlines()
     if not lines:
@@ -106,17 +98,21 @@ def parse(text: str):
         raise JsonlFormatError(f"header 'kind' must be one of {_KINDS}, got {kind!r}")
 
     value_key = "w" if kind == KIND_MEASURE else "s"
-    records = [
-        _parse_record(line, i + 2, value_key, d)
-        for i, line in enumerate(lines[1:])
-        if line
-    ]
-    if kind == KIND_MEASURE:
-        return make_measure([(w, pos) for w, pos in records], d)
-    gamma = make_configuration([(s, pos) for s, pos in records], d)
-    if kind == KIND_PLATO:
-        return to_plato(gamma)
-    return gamma
+    linenos = [i + 2 for i, line in enumerate(lines[1:]) if line]
+    records = [_parse_record(lines[n - 1], n, value_key, d) for n in linenos]
+    marks = np.array([v for v, _ in records], dtype=float)
+    positions = np.array([x for _, x in records], dtype=float).reshape(len(records), d)
+    finite = np.isfinite(marks) & np.isfinite(positions).all(axis=1)
+    if not finite.all():
+        raise JsonlFormatError(f"line {linenos[np.argmin(finite)]}: numbers must be finite")
+    try:
+        obj = (DiscreteMeasure if kind == KIND_MEASURE else Configuration)(marks, positions)
+    except NotCanonical as exc:
+        raise JsonlFormatError(
+            f"line {linenos[exc.index]}: record repeats or precedes the one before it; "
+            "records must be in strictly increasing canonical order"
+        ) from exc
+    return to_plato(obj) if kind == KIND_PLATO else obj
 
 
 def write(path, obj) -> None:
@@ -138,7 +134,3 @@ def serialize_report(report: SampleReport) -> str:
         "atom_count": report.atom_count,
     }
     return json.dumps(payload, separators=(",", ":"), allow_nan=False) + "\n"
-
-
-def write_report(path, report: SampleReport) -> None:
-    Path(path).write_text(serialize_report(report), encoding="utf-8")

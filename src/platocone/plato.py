@@ -11,7 +11,9 @@ point becomes one atom whose weight is the mark; conversely every atom
 ``w * delta_x`` lifts uniquely to the point ``(w, x)``.  Configurations
 that are not pinpointing have no measure counterpart (two marks at one
 position cannot be told apart from their sum) and are rejected rather
-than merged.
+than merged.  A pinpointing configuration and its measure hold the same
+``marks`` and ``positions`` arrays, so the reflection is a relabel: it
+copies nothing and re-validates nothing.
 
 All finite configurations automatically have finite local mass, so on the
 data this package materializes the Plato condition reduces to the
@@ -24,9 +26,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .configuration import Configuration, MarkedPoint, Window
+from .configuration import Configuration, Window, _first_unordered, _mass
 from .cone import DiscreteMeasure
-from .errors import DimensionMismatch, NotPinpointing
+from .errors import NotPinpointing
 
 
 @dataclass(frozen=True)
@@ -35,19 +37,28 @@ class PlatoConfiguration:
 
     Wraps a :class:`Configuration` and re-validates the pinpointing
     invariant on construction, so an instance in hand is always a valid
-    preimage of a discrete measure.
+    preimage of a discrete measure.  ``marks`` and ``positions`` are the
+    wrapped configuration's arrays, so every window kernel accepts it.
     """
 
     configuration: Configuration
 
     def __post_init__(self):
-        offender = _first_duplicate_position(self.configuration)
-        if offender is not None:
-            raise NotPinpointing(offender)
+        gamma = self.configuration
+        i = _first_unordered(gamma.marks, gamma.positions, with_mark=False)
+        if i is not None:
+            raise NotPinpointing(gamma.positions[i].tolist())
 
-    @property
-    def dimension(self) -> int:
-        return self.configuration.dimension
+    @classmethod
+    def _wrap(cls, marks, positions) -> "PlatoConfiguration":
+        """Adopt canonical, pinpointing arrays without copying or re-validating."""
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "configuration", Configuration._wrap(marks, positions))
+        return obj
+
+    marks = property(lambda self: self.configuration.marks)
+    positions = property(lambda self: self.configuration.positions)
+    dimension = property(lambda self: self.configuration.dimension)
 
     def __len__(self) -> int:
         return len(self.configuration)
@@ -56,39 +67,23 @@ class PlatoConfiguration:
         return iter(self.configuration)
 
 
-def _first_duplicate_position(gamma: Configuration):
-    # points are sorted by (position, mark), so duplicates are adjacent
-    prev = None
-    for p in gamma.points:
-        if prev is not None and p.position == prev:
-            return p.position
-        prev = p.position
-    return None
-
-
 def is_pinpointing(gamma: Configuration) -> bool:
-    """True iff all point positions are pairwise distinct (as doubles)."""
-    return _first_duplicate_position(gamma) is None
+    """True iff all point positions are pairwise distinct (as doubles).
+
+    Canonical order sorts by position first, so this is one vectorized
+    test that adjacent positions differ.
+    """
+    return _first_unordered(gamma.marks, gamma.positions, with_mark=False) is None
 
 
 def local_mass(gamma, lam: Window) -> float:
     """Sum of marks of the points whose position lies in the window.
 
     Accepts a :class:`Configuration` or a :class:`PlatoConfiguration`.
-    Marks are accumulated in canonical point order, which makes the value
-    agree bitwise with the window mass of the reflected measure.
+    This is the window-mass kernel of :func:`~platocone.cone.mass_in_window`
+    run on the configuration's arrays, so the two agree bitwise.
     """
-    if isinstance(gamma, PlatoConfiguration):
-        gamma = gamma.configuration
-    if gamma.dimension != lam.dimension:
-        raise DimensionMismatch(
-            f"configuration of dimension {gamma.dimension}, window of dimension {lam.dimension}"
-        )
-    total = 0.0
-    for p in gamma.points:
-        if lam.contains_position(p.position) and lam.contains_mark(p.mark):
-            total += p.mark
-    return total
+    return _mass(gamma, lam)
 
 
 def to_plato(gamma: Configuration) -> PlatoConfiguration:
@@ -110,22 +105,20 @@ def to_plato(gamma: Configuration) -> PlatoConfiguration:
 def reflect(gamma: PlatoConfiguration) -> DiscreteMeasure:
     """Project a pinpointing configuration to its discrete measure.
 
-    Every point ``(s, x)`` becomes the atom ``s * delta_x``.  The atom
-    count equals the point count, and atom order equals canonical point
-    order (positions are distinct, so sorting by position alone agrees
-    with sorting by position then mark).
+    Every point ``(s, x)`` becomes the atom ``s * delta_x``.  The measure
+    wraps the configuration's own arrays: positions are distinct, so the
+    canonical point order (position, then mark) is the atom order
+    (position alone), and nothing is copied or re-validated.
     """
-    atoms = tuple((p.position, p.mark) for p in gamma.configuration.points)
-    return DiscreteMeasure(atoms, gamma.dimension)
+    return DiscreteMeasure._wrap(gamma.marks, gamma.positions)
 
 
 def reflect_inverse(eta: DiscreteMeasure) -> PlatoConfiguration:
     """Lift a discrete measure to the unique configuration over it.
 
-    Every atom ``w * delta_x`` becomes the point ``(w, x)``.  This is the
-    two-sided inverse of :func:`reflect`: both round trips are bitwise
-    identities on valid instances.
+    Every atom ``w * delta_x`` becomes the point ``(w, x)``; the lift wraps
+    the measure's own arrays.  This is the two-sided inverse of
+    :func:`reflect`: both round trips are bitwise identities on valid
+    instances.
     """
-    points = tuple(MarkedPoint(w, pos) for pos, w in eta.atoms)
-    config = Configuration(points, eta.dimension)
-    return PlatoConfiguration(config)
+    return PlatoConfiguration._wrap(eta.marks, eta.positions)

@@ -37,7 +37,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .configuration import TestFunction, Window, make_configuration
+from .configuration import Configuration, TestFunction, Window
 from .errors import (
     DegenerateWindow,
     InvalidArgument,
@@ -48,10 +48,9 @@ from .errors import (
 )
 from .plato import reflect, to_plato
 from . import stats
-from .stats import exp_integral_e1
+from .stats import _EULER_GAMMA, exp_integral_e1
 
-_EULER_GAMMA = 0.5772156649015329
-_E1_AT_ONE = 0.21938393439551984  # value of the package's own E1 at s = 1
+_E1_AT_ONE = exp_integral_e1(1.0)
 
 _STREAM_COUNT = 0
 _STREAM_MARKS = 1
@@ -63,33 +62,6 @@ _POISSON_CHUNK_MEAN = 500.0
 _MARK_GRID_NODES = 2**14 + 1
 # E1(s) = t has no positive double solution once t exceeds about 708
 _MAX_E1_TARGET = 700.0
-
-
-@dataclass(frozen=True)
-class GammaLevy:
-    """Gamma atom intensity ``theta * s^-1 * e^-s ds`` on the mark axis.
-
-    The density is non-integrable at 0 (infinitely many small atoms) but
-    has finite first moment ``theta``, so window masses are finite.
-    """
-
-    theta: float
-
-    def __post_init__(self):
-        t = float(self.theta)
-        if not (math.isfinite(t) and t > 0.0):
-            raise InvalidTheta(f"theta must be a positive finite real, got {self.theta!r}")
-        object.__setattr__(self, "theta", t)
-
-    def density(self, s: float) -> float:
-        """The mark density theta * e^-s / s at s > 0."""
-        if s <= 0.0:
-            raise InvalidArgument(f"the mark density is defined for s > 0, got {s}")
-        return self.theta * math.exp(-s) / s
-
-    def mass_above(self, threshold: float) -> float:
-        """Integral of the density over (threshold, inf): theta * E1(threshold)."""
-        return self.theta * exp_integral_e1(threshold)
 
 
 @dataclass(frozen=True)
@@ -141,9 +113,6 @@ class FiniteProduct:
         return self._mark_table[2]
 
 
-LevySpec = GammaLevy | FiniteProduct
-
-
 @dataclass(frozen=True)
 class SampleReport:
     """Bookkeeping attached to every sampler run.
@@ -189,7 +158,14 @@ def _require_sampling_window(lam: Window) -> float:
     vol = lam.volume()
     if vol <= 0.0:
         raise DegenerateWindow(f"sampling window must have positive volume, got {vol}")
-    return vol
+    return _require_finite(vol, "sampling window volume")
+
+
+def _require_finite(value: float, what: str) -> float:
+    # a product of finite factors can still overflow to inf
+    if not math.isfinite(value):
+        raise InvalidArgument(f"{what} overflows a double: {value}")
+    return value
 
 
 def _poisson_draw(rng: np.random.Generator, mean: float) -> int:
@@ -295,13 +271,6 @@ def _invert_e1(targets: np.ndarray) -> np.ndarray:
     return out
 
 
-def _points_from_arrays(marks: np.ndarray, positions: np.ndarray) -> list:
-    return [
-        (float(marks[i]), tuple(float(c) for c in positions[i]))
-        for i in range(len(marks))
-    ]
-
-
 def sample_poisson(spec: FiniteProduct, lam: Window, seed: int):
     """Draw a marked Poisson configuration with finite product intensity.
 
@@ -319,14 +288,14 @@ def sample_poisson(spec: FiniteProduct, lam: Window, seed: int):
     seed = _require_seed(seed)
     vol = _require_sampling_window(lam)
     grid, cdf, mass = spec._mark_table
-    mean = mass * spec.spatial_rate * vol
+    mean = _require_finite(mass * spec.spatial_rate * vol, "mean atom count")
 
     n = _poisson_draw(substream(seed, _STREAM_COUNT), mean)
     u = _uniforms_open(substream(seed, _STREAM_MARKS), n)
     marks = _invert_mark_cdf(u, grid, cdf, mass)
     positions = _uniform_positions(substream(seed, _STREAM_POSITIONS), n, lam)
 
-    gamma = make_configuration(_points_from_arrays(marks, positions), lam.dimension)
+    gamma = Configuration._canonical(marks, positions)
     report = SampleReport(seed=seed, epsilon=None, expected_discarded_mass=0.0, atom_count=len(gamma))
     return gamma, report
 
@@ -366,13 +335,13 @@ def sample_gamma(theta: float, lam: Window, epsilon: float, seed: int):
     vol = _require_sampling_window(lam)
 
     e1_eps = exp_integral_e1(epsilon)
-    mean = theta * vol * e1_eps
+    mean = _require_finite(theta * vol * e1_eps, "mean atom count")
     n = _poisson_draw(substream(seed, _STREAM_COUNT), mean)
     u = _uniforms_open(substream(seed, _STREAM_MARKS), n)
     marks = _invert_e1((1.0 - u) * e1_eps)
     positions = _uniform_positions(substream(seed, _STREAM_POSITIONS), n, lam)
 
-    gamma = make_configuration(_points_from_arrays(marks, positions), lam.dimension)
+    gamma = Configuration._canonical(marks, positions)
     if len(gamma) != n:
         raise RuntimeError("bitwise atom collision in sampler output")
     eta = reflect(to_plato(gamma))
@@ -406,12 +375,12 @@ def sample_gamma_ordered(theta: float, lam: Window, n_jumps: int, seed: int):
 
     u = _uniforms_open(substream(seed, _STREAM_MARKS), int(n_jumps))
     arrivals = np.cumsum(-np.log1p(-u))
-    marks = _invert_e1(arrivals / (theta * vol))
+    marks = _invert_e1(arrivals / _require_finite(theta * vol, "expected window mass"))
     if np.any(np.diff(marks) >= 0.0):
         raise RuntimeError("ordered jumps failed to decrease strictly")
     positions = _uniform_positions(substream(seed, _STREAM_POSITIONS), int(n_jumps), lam)
 
-    gamma = make_configuration(_points_from_arrays(marks, positions), lam.dimension)
+    gamma = Configuration._canonical(marks, positions)
     if len(gamma) != int(n_jumps):
         raise RuntimeError("bitwise atom collision in sampler output")
     eta = reflect(to_plato(gamma))

@@ -26,17 +26,20 @@ a family of Lipschitz constant at most ``L``.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 from .configuration import (
     Configuration,
     TestFunction,
     Window,
+    _bounds,
+    _pairings,
     clean_position,
     make_configuration,
-    pair_configuration,
 )
 from .cone import DiscreteMeasure
 from .errors import DimensionMismatch, EqualMarks, InvalidArgument
@@ -95,6 +98,25 @@ class TestFamily:
     def __len__(self) -> int:
         return len(self.functions)
 
+    @cached_property
+    def _bounds(self):
+        return _bounds([fn.support for fn in self.functions])
+
+    def pairings(self, gamma: Configuration) -> list:
+        """The vector of pairings ``<f_i, gamma>``, one per member."""
+        if gamma.dimension != self.dimension:
+            raise DimensionMismatch(
+                f"family over dimension {self.dimension}, configuration over {gamma.dimension}"
+            )
+        return _pairings(self.functions, self._bounds, gamma)
+
+    def gap(self, p1: Sequence[float], p2: Sequence[float]) -> float:
+        """``max_i w_i * |p1_i - p2_i|`` of two pairing vectors, 0.0 at least."""
+        worst = 0.0
+        for w, a, b in zip(self.weights, p1, p2):
+            worst = max(worst, w * abs(a - b))
+        return worst
+
 
 def vague_discrepancy(gamma1: Configuration, gamma2: Configuration, family: TestFamily) -> float:
     """Weighted max pairing gap over the family; zero on equal arguments."""
@@ -102,16 +124,7 @@ def vague_discrepancy(gamma1: Configuration, gamma2: Configuration, family: Test
         raise DimensionMismatch(
             f"configurations of dimensions {gamma1.dimension} and {gamma2.dimension}"
         )
-    if family.dimension != gamma1.dimension:
-        raise DimensionMismatch(
-            f"family over dimension {family.dimension}, configurations over {gamma1.dimension}"
-        )
-    worst = 0.0
-    for fn, w in zip(family.functions, family.weights):
-        gap = w * abs(pair_configuration(fn, gamma1) - pair_configuration(fn, gamma2))
-        if gap > worst:
-            worst = gap
-    return worst
+    return family.gap(family.pairings(gamma1), family.pairings(gamma2))
 
 
 def cone_discrepancy(eta1: DiscreteMeasure, eta2: DiscreteMeasure, family: TestFamily) -> float:
@@ -122,9 +135,7 @@ def cone_discrepancy(eta1: DiscreteMeasure, eta2: DiscreteMeasure, family: TestF
     """
     if eta1.dimension != eta2.dimension:
         raise DimensionMismatch(f"measures of dimensions {eta1.dimension} and {eta2.dimension}")
-    g1 = reflect_inverse(eta1).configuration
-    g2 = reflect_inverse(eta2).configuration
-    return vague_discrepancy(g1, g2, family)
+    return vague_discrepancy(reflect_inverse(eta1), reflect_inverse(eta2), family)
 
 
 def merging_sequence(x0: Sequence[float], s1: float, s2: float, n: int) -> Configuration:
@@ -203,7 +214,10 @@ def check_convergence(
         raise InvalidArgument(f"tol must be a positive real, got {tol!r}")
     if isinstance(n_max, bool) or not isinstance(n_max, int) or n_max < 1:
         raise InvalidArgument(f"n_max must be a positive integer, got {n_max!r}")
-    discrepancies = [vague_discrepancy(sequence(n), limit, family) for n in range(1, n_max + 1)]
+    at_limit = family.pairings(limit)
+    discrepancies = [
+        family.gap(family.pairings(sequence(n)), at_limit) for n in range(1, n_max + 1)
+    ]
     tail_start = max(0, math.ceil(0.75 * n_max) - 1)
     tail = discrepancies[tail_start:]
     non_increasing = all(b <= a + _MONOTONE_SLACK for a, b in zip(tail, tail[1:]))
@@ -246,37 +260,26 @@ def hat_function(
         raise InvalidArgument("one positive finite half width per coordinate required")
     lower = tuple(c - w for c, w in zip(center, widths))
     upper = tuple(c + w for c, w in zip(center, widths))
-    all_widths = widths
 
-    if mark_center is None:
-        support = Window(lower, upper)
-
-        def ev_space(x):
-            v = 1.0
-            for xi, ci, wi in zip(x, center, widths):
-                v *= _cubic_hat(abs(xi - ci) / wi)
-                if v == 0.0:
-                    return 0.0
-            return v
-
-        return TestFunction(ev_space, support, 1.5 / min(all_widths), "space")
-
-    mc = float(mark_center)
-    mw = float(mark_half_width if mark_half_width is not None else min(widths))
-    if not (math.isfinite(mc) and mc > 0.0 and math.isfinite(mw) and mw > 0.0):
-        raise InvalidArgument("mark hat requires positive finite center and half width")
-    all_widths = widths + (mw,)
-    support = Window(lower, upper, mark_interval=(max(0.0, mc - mw), mc + mw))
-
-    def ev_phase(s, x):
-        v = _cubic_hat(abs(s - mc) / mw)
+    def spatial_factors(v, x):
+        # multiply v by one hat factor per axis, stopping at the first zero
         for xi, ci, wi in zip(x, center, widths):
             if v == 0.0:
                 return 0.0
             v *= _cubic_hat(abs(xi - ci) / wi)
         return v
 
-    return TestFunction(ev_phase, support, 1.5 / min(all_widths), "phase")
+    if mark_center is None:
+        ev_space = lambda x: spatial_factors(1.0, x)
+        return TestFunction(ev_space, Window(lower, upper), 1.5 / min(widths), "space")
+
+    mc = float(mark_center)
+    mw = float(mark_half_width if mark_half_width is not None else min(widths))
+    if not (math.isfinite(mc) and mc > 0.0 and math.isfinite(mw) and mw > 0.0):
+        raise InvalidArgument("mark hat requires positive finite center and half width")
+    support = Window(lower, upper, mark_interval=(max(0.0, mc - mw), mc + mw))
+    ev_phase = lambda s, x: spatial_factors(_cubic_hat(abs(s - mc) / mw), x)
+    return TestFunction(ev_phase, support, 1.5 / min(widths + (mw,)), "phase")
 
 
 def hat_family(
@@ -313,22 +316,14 @@ def hat_family(
     mark_cell = (b - a) / mark_cells
     mark_centers = [a + (j + 0.5) * mark_cell for j in range(mark_cells)]
 
-    functions = []
-    index = [0] * d
-    while True:
-        center = tuple(axis_centers[i][index[i]] for i in range(d))
-        for mc in mark_centers:
-            functions.append(
-                hat_function(center, tuple(axis_widths), mark_center=mc, mark_half_width=mark_cell)
-            )
-        for i in range(d - 1, -1, -1):
-            index[i] += 1
-            if index[i] < shape[i]:
-                break
-            index[i] = 0
-        else:
-            break
-    return TestFamily(tuple(functions))
+    # the last axis varies fastest, then the mark cell
+    return TestFamily(
+        tuple(
+            hat_function(center, tuple(axis_widths), mark_center=mc, mark_half_width=mark_cell)
+            for center in itertools.product(*axis_centers)
+            for mc in mark_centers
+        )
+    )
 
 
 def merging_family(x0: Sequence[float], s1: float, s2: float) -> TestFamily:

@@ -240,3 +240,13 @@ def test_converge_from_files(tmp_path, capsys):
 def test_usage_error_exit_code():
     assert run(["sample"]) == 2
     assert run(["no-such-command"]) == 2
+
+
+def test_huge_window_is_a_validation_error(tmp_path, capsys):
+    # the volume 1e400 overflows to inf
+    code = run(
+        ["sample", "gamma", "--theta", "1", "--epsilon", "0.5",
+         "--window", "0,1e200,0,1e200", "--out", str(tmp_path / "x")]
+    )
+    assert code == 2
+    assert "overflows" in capsys.readouterr().err

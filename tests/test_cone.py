@@ -65,7 +65,7 @@ def test_sub_measure_examples():
     assert is_sub_measure(zero_measure(1), eta)
     assert is_sub_measure(make_measure([(2.0, [1.0])], 1), eta)
     assert not is_sub_measure(make_measure([(1.9, [1.0])], 1), eta)
-    assert is_sub_measure(eta, eta, require_finite_support=True)
+    assert is_sub_measure(eta, eta)
 
 
 def test_sub_measure_is_partial_order():

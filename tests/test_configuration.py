@@ -8,13 +8,14 @@ from conftest import random_configuration, random_points, random_window
 from platocone import (
     Configuration,
     DimensionMismatch,
-    MarkedPoint,
     NonPositiveMark,
+    NotCanonical,
     TestFunction,
     Window,
     canonical_order,
     count_in_window,
     linear_combination,
+    local_mass,
     make_configuration,
     n_point_class,
     pair_configuration,
@@ -196,7 +197,38 @@ def test_half_open_membership():
 
 
 def test_configuration_rejects_out_of_order_points():
-    p1 = MarkedPoint(1.0, (0.5,))
-    p2 = MarkedPoint(1.0, (0.1,))
-    with pytest.raises(Exception):
-        Configuration((p1, p2), 1)
+    with pytest.raises(NotCanonical):
+        Configuration([1.0, 1.0], [[0.5], [0.1]])
+    with pytest.raises(NotCanonical):
+        Configuration([1.0, 1.0], [[0.5], [0.5]])
+
+
+def test_kernels_match_a_sequential_reference_loop():
+    # count, mass and pairing sum in canonical order with a plain loop;
+    # ndarray.sum (pairwise) and builtin sum (compensated from Python
+    # 3.12) would round differently at this size
+    rng = np.random.default_rng(105)
+    gamma = random_configuration(rng, 2, 10_000, box=5.0)
+    lam = Window((-4.0, -3.0), (4.5, 3.5), mark_interval=(0.5, 3.5))
+    f = hat_function((0.5, -0.5), (4.0, 3.0), mark_center=2.0, mark_half_width=2.0)
+    count, mass, paired, total = 0, 0.0, 0.0, 0.0
+    for s, x in zip(gamma.marks.tolist(), gamma.positions.tolist()):
+        total += s
+        if lam.contains_position(x) and lam.contains_mark(s):
+            count += 1
+            mass += s
+        if f.support.contains_position(x) and f.support.contains_mark(s):
+            paired += f.evaluator(s, tuple(x))
+    assert count_in_window(gamma, lam) == count > 1000
+    assert local_mass(gamma, lam).hex() == mass.hex()
+    assert pair_configuration(f, gamma).hex() == paired.hex()
+    assert gamma.total_mark().hex() == total.hex()
+
+
+def test_linear_combination_sums_sequentially():
+    one = TestFunction(lambda s, x: 1.0, Window((0.0,), (1.0,), mark_interval=(0.0, 2.0)))
+    # 1e16 + 1 rounds back to 1e16, so a left-to-right sum gives 0.0;
+    # a compensated sum would give 1.0
+    combo = linear_combination([(1e16, one), (1.0, one), (-1e16, one)])
+    assert combo(1.0, (0.5,)) == 0.0
+    assert combo.lipschitz is None

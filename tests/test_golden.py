@@ -2,8 +2,8 @@
 
 Determinism tests elsewhere compare one run with another run of the same
 code, so they cannot see an output that changes for everybody.  These
-digests were recorded once and must only ever be regenerated together
-with a bump of the sampler algorithm version and a CHANGES.md entry.
+digests were recorded once; regenerate them only for an intended output
+change, and record that change in CHANGES.md.
 
 To print the current digests, run this module as a script:
 

@@ -99,3 +99,31 @@ def test_report_serialization():
     )
     no_eps = SampleReport(seed=1, epsilon=None, expected_discarded_mass=0.0, atom_count=3)
     assert '"epsilon":null' in jsonl.serialize_report(no_eps)
+
+
+@pytest.mark.parametrize(
+    "kind, records, line",
+    [
+        # two atoms at one position are not merged into one of weight 3
+        ("measure", ['{"w":1.0,"x":[0.5]}', '{"w":2.0,"x":[0.5]}'], 3),
+        # a repeated point is not dropped
+        ("configuration", ['{"s":1.0,"x":[0.1]}', '{"s":2.0,"x":[0.5]}', '{"s":2.0,"x":[0.5]}'], 4),
+        # out-of-order records are not re-sorted
+        ("measure", ['{"w":1.0,"x":[0.5]}', '{"w":2.0,"x":[0.25]}'], 3),
+        ("plato", ['{"s":1.0,"x":[0.5,1.0]}', '{"s":2.0,"x":[0.5,0.0]}'], 3),
+    ],
+    ids=["duplicate-atoms", "duplicate-points", "unsorted-measure", "unsorted-plato"],
+)
+def test_non_canonical_files_are_rejected_with_their_line(kind, records, line):
+    d = 2 if kind == "plato" else 1
+    text = "\n".join([f'{{"d":{d},"kind":"{kind}"}}'] + records) + "\n"
+    with pytest.raises(JsonlFormatError, match=f"line {line}:"):
+        jsonl.parse(text)
+
+
+def test_non_canonical_file_exits_3(tmp_path):
+    from platocone.cli import main
+
+    src = tmp_path / "dup.jsonl"
+    src.write_text('{"d":1,"kind":"measure"}\n{"w":1.0,"x":[0.5]}\n{"w":2.0,"x":[0.5]}\n')
+    assert main(["reflect", "--in", str(src), "--out", str(tmp_path / "out.jsonl")]) == 3

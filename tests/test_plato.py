@@ -119,8 +119,8 @@ def test_reflection_is_monotone_for_subsets():
     rng = np.random.default_rng(303)
     for _ in range(50):
         plato = random_plato(rng, 1, 30)
-        kept = tuple(p for p in plato.configuration.points if rng.random() < 0.6)
-        smaller = to_plato(Configuration(kept, 1))
+        keep = rng.random(len(plato)) < 0.6
+        smaller = to_plato(Configuration(plato.marks[keep], plato.positions[keep]))
         assert is_sub_measure(reflect(smaller), reflect(plato))
 
 
@@ -135,3 +135,15 @@ def test_local_mass_many_small_atoms_matches_measure_mass():
     lam = Window((0.0,), (1.0,))
     assert local_mass(dust, lam) == mass_in_window(reflect(dust), lam)
     assert math.isclose(local_mass(dust, lam), 1.0, abs_tol=1e-12)
+
+
+def test_reflection_relabels_the_arrays_without_copying():
+    plato = random_plato(np.random.default_rng(304), 2, 50)
+    eta = reflect(plato)
+    assert np.shares_memory(eta.marks, plato.configuration.marks)
+    assert np.shares_memory(eta.positions, plato.configuration.positions)
+    back = reflect_inverse(eta)
+    assert np.shares_memory(back.configuration.marks, eta.marks)
+    assert np.shares_memory(back.configuration.positions, eta.positions)
+    assert back == plato and len(back) == len(eta)
+    assert not eta.marks.flags.writeable and not eta.positions.flags.writeable

@@ -8,7 +8,6 @@ import pytest
 from platocone import (
     DegenerateWindow,
     FiniteProduct,
-    GammaLevy,
     InvalidArgument,
     InvalidEpsilon,
     InvalidTheta,
@@ -32,14 +31,6 @@ UNIT = Window((0.0,), (1.0,))
 
 def exp_mark_density(cut=40.0):
     return TestFunction(lambda x: math.exp(-x[0]), Window((0.0,), (cut,)), None, "space")
-
-
-def test_gamma_levy_validation():
-    with pytest.raises(InvalidTheta):
-        GammaLevy(0.0)
-    levy = GammaLevy(2.0)
-    assert math.isclose(levy.density(1.0), 2.0 * math.exp(-1.0))
-    assert math.isclose(levy.mass_above(1.0), 2.0 * exp_integral_e1(1.0))
 
 
 def test_sample_gamma_is_deterministic():
@@ -174,7 +165,7 @@ def test_sample_poisson_rejects_bad_inputs():
     with pytest.raises(UnboundedWindow):
         sample_poisson(spec, Window((0.0,), (float("inf"),)), 0)
     with pytest.raises(InvalidArgument):
-        sample_poisson(GammaLevy(1.0), UNIT, 0)
+        sample_poisson(1.0, UNIT, 0)
     unbounded_density = TestFunction(
         lambda x: 1.0, Window((0.0,), (float("inf"),)), None, "space"
     )
@@ -204,3 +195,19 @@ def test_disjoint_window_counts_are_uncorrelated_short_run():
     arr = np.array(pairs, dtype=float)
     corr = np.corrcoef(arr[:, 0], arr[:, 1])[0, 1]
     assert abs(corr) <= 3.0 / math.sqrt(len(pairs))
+
+
+def test_non_finite_volume_or_mean_is_rejected():
+    huge = Window((0.0, 0.0), (1e200, 1e200))
+    spec = FiniteProduct(exp_mark_density())
+    with pytest.raises(InvalidArgument):
+        sample_gamma(1.0, huge, 0.5, 0)
+    with pytest.raises(InvalidArgument):
+        sample_gamma_ordered(1.0, huge, 3, 0)
+    with pytest.raises(InvalidArgument):
+        sample_poisson(spec, huge, 0)
+    # finite volume, but theta * volume * E1(epsilon) overflows
+    with pytest.raises(InvalidArgument):
+        sample_gamma(1e300, Window((0.0,), (1e10,)), 0.5, 0)
+    with pytest.raises(InvalidArgument):
+        sample_gamma_ordered(1e300, Window((0.0,), (1e10,)), 3, 0)
