@@ -59,8 +59,8 @@ def serialize(obj) -> str:
 def _parse_record(line: str, lineno: int, value_key: str, d: int):
     try:
         rec = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise JsonlFormatError(f"line {lineno}: invalid JSON ({exc.msg})") from exc
+    except ValueError as exc:  # JSONDecodeError, or an integer past int()'s digit limit
+        raise JsonlFormatError(f"line {lineno}: invalid JSON ({getattr(exc, 'msg', exc)})") from exc
     if not isinstance(rec, dict) or set(rec) != {value_key, "x"}:
         raise JsonlFormatError(f"line {lineno}: expected keys {{{value_key!r}, 'x'}}")
     value, x = rec[value_key], rec["x"]
@@ -70,6 +70,15 @@ def _parse_record(line: str, lineno: int, value_key: str, d: int):
     if not all(type(v) in (int, float) for v in [value, *x]):
         raise JsonlFormatError(f"line {lineno}: {value_key!r} and 'x' must hold JSON numbers")
     return value, x
+
+
+def _fits_double(numbers) -> bool:
+    try:
+        for v in numbers:
+            float(v)
+    except OverflowError:
+        return False
+    return True
 
 
 def parse(text: str):
@@ -86,8 +95,8 @@ def parse(text: str):
         raise JsonlFormatError("empty input: missing header line")
     try:
         header = json.loads(lines[0])
-    except json.JSONDecodeError as exc:
-        raise JsonlFormatError(f"invalid JSON header ({exc.msg})") from exc
+    except ValueError as exc:
+        raise JsonlFormatError(f"invalid JSON header ({getattr(exc, 'msg', exc)})") from exc
     if not isinstance(header, dict) or set(header) != {"d", "kind"}:
         raise JsonlFormatError("header must be exactly {\"d\": <int>, \"kind\": <kind>}")
     d = header["d"]
@@ -100,8 +109,13 @@ def parse(text: str):
     value_key = "w" if kind == KIND_MEASURE else "s"
     linenos = [i + 2 for i, line in enumerate(lines[1:]) if line]
     records = [_parse_record(lines[n - 1], n, value_key, d) for n in linenos]
-    marks = np.array([v for v, _ in records], dtype=float)
-    positions = np.array([x for _, x in records], dtype=float).reshape(len(records), d)
+    try:
+        marks = np.array([v for v, _ in records], dtype=float)
+        positions = np.array([x for _, x in records], dtype=float).reshape(len(records), d)
+    except OverflowError:
+        # a JSON integer beyond the double range; find its line
+        lineno = next(n for n, (v, x) in zip(linenos, records) if not _fits_double([v, *x]))
+        raise JsonlFormatError(f"line {lineno}: number beyond the double range") from None
     finite = np.isfinite(marks) & np.isfinite(positions).all(axis=1)
     if not finite.all():
         raise JsonlFormatError(f"line {linenos[np.argmin(finite)]}: numbers must be finite")
@@ -132,5 +146,8 @@ def serialize_report(report: SampleReport) -> str:
         "epsilon": report.epsilon,
         "expected_discarded_mass": report.expected_discarded_mass,
         "atom_count": report.atom_count,
+        "algorithm": report.algorithm,
+        "e1_iterations": report.e1_iterations,
+        "e1_residual": report.e1_residual,
     }
     return json.dumps(payload, separators=(",", ":"), allow_nan=False) + "\n"

@@ -25,13 +25,17 @@ Reproducibility contract: a sampler's output is a pure function of
 atom count of a run never depends on how many mark or position draws
 another part of the pipeline consumed.  All randomness reduces to
 uniform doubles from PCG64, the most version- and platform-stable part
-of the generator API.  Inverse-CDF inversions are bisections (in log
-space) to relative tolerance 1e-12, capped at 200 iterations.
+of the generator API.  Gamma marks invert E1 by safeguarded Newton
+(bisection steps where Newton leaves the analytic bracket) to relative
+tolerance 1e-12 on the mark, and every report certifies the run with the
+largest iteration count and the worst E1 residual.  A mean atom count
+(or ``n_jumps``) above 10^7 is refused.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -50,18 +54,30 @@ from .plato import reflect, to_plato
 from . import stats
 from .stats import _EULER_GAMMA, exp_integral_e1
 
-_E1_AT_ONE = exp_integral_e1(1.0)
+# The series and the continued fraction differ in the last bits at s = 1
+# (the series is 4.4e-16 higher).  Splitting at the series value keeps
+# the bracket of each branch valid for the E1 evaluation it uses.
+_E1_SERIES_AT_ONE = float(stats._e1_series(np.array([1.0]))[0])
 
 _STREAM_COUNT = 0
 _STREAM_MARKS = 1
 _STREAM_POSITIONS = 2
 
-_BISECT_REL_TOL = 1e-12
-_BISECT_MAX_ITER = 200
+# version of the mark inversion, carried by every report
+_ALGORITHM = 2
+# half the 1e-12 contract on s: an accepted iterate is off by about its
+# Newton step, plus the rounding of s = e^m
+_NEWTON_TOL = 5e-13
+_NEWTON_MAX_ITER = 100
 _POISSON_CHUNK_MEAN = 500.0
+# the count draw takes about mean / 500 Python steps and every atom is
+# an array row, so larger means are refused before any draw
+_MAX_MEAN_COUNT = 10**7
 _MARK_GRID_NODES = 2**14 + 1
 # E1(s) = t has no positive double solution once t exceeds about 708
 _MAX_E1_TARGET = 700.0
+# below the smallest normal double E1 values lose precision
+_MIN_E1_TARGET = sys.float_info.min
 
 
 @dataclass(frozen=True)
@@ -121,18 +137,31 @@ class SampleReport:
     truncation dropped: exact and deterministic for the threshold sampler,
     conditional on the realized smallest jump for the ordered sampler,
     and zero for finite-intensity sampling.
+
+    The last three fields certify the numerics.  ``algorithm`` names the
+    mark inversion (1: bisection, 2: safeguarded Newton).
+    ``e1_iterations`` is the largest number of E1 evaluations any mark
+    took, and ``e1_residual`` the worst ``|E1(s)/t - 1|`` over the
+    returned marks; both are 0 when no E1 inversion ran.
     """
 
     seed: int
     epsilon: float | None
     expected_discarded_mass: float
     atom_count: int
+    algorithm: int
+    e1_iterations: int
+    e1_residual: float
 
     def __post_init__(self):
         if self.expected_discarded_mass < 0.0:
             raise InvalidArgument("expected_discarded_mass must be nonnegative")
         if self.atom_count < 0:
             raise InvalidArgument("atom_count must be nonnegative")
+        if self.e1_iterations < 0:
+            raise InvalidArgument("e1_iterations must be nonnegative")
+        if not self.e1_residual >= 0.0:
+            raise InvalidArgument("e1_residual must be nonnegative")
 
 
 def substream(seed: int, index: int) -> np.random.Generator:
@@ -166,6 +195,13 @@ def _require_finite(value: float, what: str) -> float:
     if not math.isfinite(value):
         raise InvalidArgument(f"{what} overflows a double: {value}")
     return value
+
+
+def _require_count(count: float, what: str) -> float:
+    _require_finite(count, what)
+    if count > _MAX_MEAN_COUNT:
+        raise InvalidArgument(f"{what} {count:.8g} exceeds the cap of {_MAX_MEAN_COUNT} atoms per sample")
+    return count
 
 
 def _poisson_draw(rng: np.random.Generator, mean: float) -> int:
@@ -213,62 +249,107 @@ def _uniform_positions(rng: np.random.Generator, n: int, lam: Window) -> np.ndar
     return np.minimum(x, np.nextafter(hi, lo))
 
 
-def _invert_e1_below_one(t: np.ndarray) -> np.ndarray:
-    # roots in (0, 1]: bracket [exp(-gamma - t), 1] (E1(s) > -gamma - ln s
-    # on (0, 1), E1(1) <= t), bisect on m = ln s where the series comparator
-    # E1(e^m) >= t needs no log: -gamma - m + series(e^m) >= t
-    a = -_EULER_GAMMA - t
-    b = np.zeros_like(t)
-    for _ in range(_BISECT_MAX_ITER):
-        if not np.any(b - a > _BISECT_REL_TOL):
-            break
-        m = 0.5 * (a + b)
-        ge = -_EULER_GAMMA - m + np.polyval(stats._E1_SERIES_COEFFS, np.exp(m)) >= t
-        a = np.where(ge, m, a)
-        b = np.where(ge, b, m)
-    return np.exp(0.5 * (a + b))
+def _newton_below_one(t: np.ndarray):
+    # Roots in (0, 1], on m = ln s: g(m) = E1(e^m) - t = -gamma - m +
+    # P(e^m) - t with g'(m) = -e^-s.  g is convex and decreasing, and
+    # g = P(e^m) > 0 at the bracket's left end -gamma - t, so Newton from
+    # there rises monotonically to the root; m = 0 closes the bracket
+    # (E1(1) <= t).  E1 is evaluated as stats._e1_series at the double
+    # s = e^m that is returned, so the residual belongs to that root.
+    lo = -_EULER_GAMMA - t
+    hi = np.zeros_like(t)
+    m = lo.copy()
+    roots = np.empty_like(t)
+    values = np.empty_like(t)
+    pending = np.arange(t.size)
+    for iterations in range(1, _NEWTON_MAX_ITER + 1):
+        s = np.exp(m)
+        e1 = stats._e1_series(s)
+        g = e1 - t
+        step = g * np.exp(s)
+        done = np.abs(step) <= _NEWTON_TOL
+        if done.any():
+            roots[pending[done]] = s[done]
+            values[pending[done]] = e1[done]
+            if done.all():
+                return roots, values, iterations
+            live = ~done
+            pending, t, m, lo, hi, g, step = (v[live] for v in (pending, t, m, lo, hi, g, step))
+        above = g > 0.0
+        lo = np.where(above, m, lo)
+        hi = np.where(above, hi, m)
+        m = m + step
+        outside = (m < lo) | (m > hi)
+        if outside.any():
+            m[outside] = 0.5 * (lo[outside] + hi[outside])
+    raise RuntimeError("E1 inversion below 1 did not converge")
 
 
-def _invert_e1_above_one(t: float) -> float:
-    # root in [1, 1 - ln t]: E1(1) >= t and E1(s) < e^-s <= t/e at the
-    # upper end; bisect on ln s with the scalar continued fraction
-    a = 0.0
-    b = math.log(1.0 - math.log(t))
-    for _ in range(_BISECT_MAX_ITER):
-        if b - a <= _BISECT_REL_TOL:
-            break
-        m = 0.5 * (a + b)
-        if stats._e1_cf_scalar(math.exp(m)) >= t:
-            a = m
+def _newton_above_one(t: float):
+    # Root in [1, 1 - ln t]: E1(1) >= t and E1(s) < e^-s <= t/e at the
+    # upper end.  Newton on f(s) = ln E1(s) - ln t with f'(s) = -1/(s h),
+    # E1 = h e^-s; E1 is log-convex, so f is convex and decreasing.  Two
+    # fixed-point steps of s = L - ln(1 + s), L = -ln t, from s = 1 end at
+    # or left of the root of e^-s / (1 + s) = t, itself left of the root,
+    # so the iterates rise monotonically.
+    big_l = -math.log(t)
+    lo = 1.0
+    hi = 1.0 + big_l
+    s = 1.0
+    for _ in range(2):
+        s = big_l - math.log1p(s)
+    s = min(max(s, lo), hi)
+    for iterations in range(1, _NEWTON_MAX_ITER + 1):
+        e1 = stats._e1_cf_scalar(s)
+        ratio = e1 / t
+        step = math.log(ratio) * s * (e1 * math.exp(s))
+        if abs(step) <= _NEWTON_TOL:
+            return s, e1, iterations
+        if ratio > 1.0:
+            lo = s
         else:
-            b = m
-    return math.exp(0.5 * (a + b))
+            hi = s
+        s += step
+        if not lo <= s <= hi:
+            s = 0.5 * (lo + hi)
+    raise RuntimeError("E1 inversion above 1 did not converge")
 
 
-def _invert_e1(targets: np.ndarray) -> np.ndarray:
-    """Solve E1(s) = t elementwise for positive targets.
+def _invert_e1(targets: np.ndarray):
+    """Solve E1(s) = t elementwise for targets t in [2.2e-308, 700].
 
-    Each root is bracketed analytically and the bracket is bisected on
-    ln s until narrower than 1e-12, i.e. to relative tolerance 1e-12 on
-    s.  Roots below 1 (the bulk, for small truncation thresholds) run as
-    one vectorized bisection against the power series; roots at or above
-    1 are bisected one by one against the continued fraction.
+    Safeguarded Newton (a step that leaves the analytic bracket is
+    replaced by a bisection step) to relative tolerance 1e-12 on s: an
+    evaluated iterate is returned once its Newton step is at most 5e-13.
+    Roots below 1 (the bulk, for small truncation thresholds) iterate as
+    one vectorized loop on ln s against the power series, so the step
+    bound is relative; roots at or above 1 iterate one by one in s
+    against the continued fraction, where the absolute bound is the
+    stricter one and keeps the E1 residual near 1e-12 even at s ~ 700.
+
+    Returns ``(roots, iterations, residual)``: the largest number of E1
+    evaluations any root took, and the worst ``|E1(s)/t - 1|`` over the
+    returned roots, from the evaluation that accepted each root.
     """
     t = np.asarray(targets, dtype=float)
     if t.size == 0:
-        return t.copy()
-    if np.any(t > _MAX_E1_TARGET):
+        return t.copy(), 0, 0.0
+    if not np.all((t >= _MIN_E1_TARGET) & (t <= _MAX_E1_TARGET)):
         raise InvalidArgument(
-            f"cannot invert E1 at targets above {_MAX_E1_TARGET}: jump sizes underflow"
+            f"cannot invert E1 at targets outside [{_MIN_E1_TARGET}, {_MAX_E1_TARGET}]: "
+            "jump sizes underflow above, E1 is subnormal below"
         )
-    out = np.empty_like(t)
-    small_root = t >= _E1_AT_ONE
+    roots = np.empty_like(t)
+    values = np.empty_like(t)
+    iterations = 0
+    small_root = t >= _E1_SERIES_AT_ONE
     if np.any(small_root):
-        out[small_root] = _invert_e1_below_one(t[small_root])
-    if not np.all(small_root):
-        big = ~small_root
-        out[big] = [_invert_e1_above_one(float(v)) for v in t[big]]
-    return out
+        roots[small_root], values[small_root], iterations = _newton_below_one(t[small_root])
+    for i in np.flatnonzero(~small_root):
+        roots[i], values[i], k = _newton_above_one(float(t[i]))
+        iterations = max(iterations, k)
+    residual = float(np.max(np.abs(values / t - 1.0)))
+    return roots, iterations, residual
 
 
 def sample_poisson(spec: FiniteProduct, lam: Window, seed: int):
@@ -288,7 +369,7 @@ def sample_poisson(spec: FiniteProduct, lam: Window, seed: int):
     seed = _require_seed(seed)
     vol = _require_sampling_window(lam)
     grid, cdf, mass = spec._mark_table
-    mean = _require_finite(mass * spec.spatial_rate * vol, "mean atom count")
+    mean = _require_count(mass * spec.spatial_rate * vol, "mean atom count")
 
     n = _poisson_draw(substream(seed, _STREAM_COUNT), mean)
     u = _uniforms_open(substream(seed, _STREAM_MARKS), n)
@@ -296,7 +377,15 @@ def sample_poisson(spec: FiniteProduct, lam: Window, seed: int):
     positions = _uniform_positions(substream(seed, _STREAM_POSITIONS), n, lam)
 
     gamma = Configuration._canonical(marks, positions)
-    report = SampleReport(seed=seed, epsilon=None, expected_discarded_mass=0.0, atom_count=len(gamma))
+    report = SampleReport(
+        seed=seed,
+        epsilon=None,
+        expected_discarded_mass=0.0,
+        atom_count=len(gamma),
+        algorithm=_ALGORITHM,
+        e1_iterations=0,
+        e1_residual=0.0,
+    )
     return gamma, report
 
 
@@ -335,10 +424,10 @@ def sample_gamma(theta: float, lam: Window, epsilon: float, seed: int):
     vol = _require_sampling_window(lam)
 
     e1_eps = exp_integral_e1(epsilon)
-    mean = _require_finite(theta * vol * e1_eps, "mean atom count")
+    mean = _require_count(theta * vol * e1_eps, "mean atom count")
     n = _poisson_draw(substream(seed, _STREAM_COUNT), mean)
     u = _uniforms_open(substream(seed, _STREAM_MARKS), n)
-    marks = _invert_e1((1.0 - u) * e1_eps)
+    marks, iterations, residual = _invert_e1((1.0 - u) * e1_eps)
     positions = _uniform_positions(substream(seed, _STREAM_POSITIONS), n, lam)
 
     gamma = Configuration._canonical(marks, positions)
@@ -350,6 +439,9 @@ def sample_gamma(theta: float, lam: Window, epsilon: float, seed: int):
         epsilon=epsilon,
         expected_discarded_mass=theta * vol * (-math.expm1(-epsilon)),
         atom_count=len(eta),
+        algorithm=_ALGORITHM,
+        e1_iterations=iterations,
+        e1_residual=residual,
     )
     return eta, report
 
@@ -370,12 +462,13 @@ def sample_gamma_ordered(theta: float, lam: Window, n_jumps: int, seed: int):
     theta = _require_theta(theta)
     if isinstance(n_jumps, bool) or not isinstance(n_jumps, (int, np.integer)) or n_jumps < 1:
         raise InvalidArgument(f"n_jumps must be a positive integer, got {n_jumps!r}")
+    _require_count(float(n_jumps), "n_jumps")
     seed = _require_seed(seed)
     vol = _require_sampling_window(lam)
 
     u = _uniforms_open(substream(seed, _STREAM_MARKS), int(n_jumps))
     arrivals = np.cumsum(-np.log1p(-u))
-    marks = _invert_e1(arrivals / _require_finite(theta * vol, "expected window mass"))
+    marks, iterations, residual = _invert_e1(arrivals / _require_finite(theta * vol, "expected window mass"))
     if np.any(np.diff(marks) >= 0.0):
         raise RuntimeError("ordered jumps failed to decrease strictly")
     positions = _uniform_positions(substream(seed, _STREAM_POSITIONS), int(n_jumps), lam)
@@ -389,6 +482,9 @@ def sample_gamma_ordered(theta: float, lam: Window, n_jumps: int, seed: int):
         epsilon=None,
         expected_discarded_mass=theta * vol * (-math.expm1(-float(marks[-1]))),
         atom_count=len(eta),
+        algorithm=_ALGORITHM,
+        e1_iterations=iterations,
+        e1_residual=residual,
     )
     return eta, report
 

@@ -2,6 +2,7 @@
 
 import json
 import math
+import time
 
 from platocone import Window, make_configuration, sample_gamma
 from platocone import jsonl
@@ -36,8 +37,14 @@ def test_sample_gamma_writes_expected_files(tmp_path):
         "gamma_seed9.report.json",
     ]
     report = read_json(out / "gamma_seed7.report.json")
-    assert set(report) == {"seed", "epsilon", "expected_discarded_mass", "atom_count"}
+    assert set(report) == {
+        "seed", "epsilon", "expected_discarded_mass", "atom_count",
+        "algorithm", "e1_iterations", "e1_residual",
+    }
     assert report["seed"] == 7
+    assert report["algorithm"] == 2
+    assert 1 <= report["e1_iterations"] <= 8
+    assert 0.0 <= report["e1_residual"] <= 1e-11
 
 
 def test_sample_outputs_match_library_and_are_deterministic(tmp_path):
@@ -250,3 +257,23 @@ def test_huge_window_is_a_validation_error(tmp_path, capsys):
     )
     assert code == 2
     assert "overflows" in capsys.readouterr().err
+
+
+def test_huge_mean_count_exits_2_promptly(tmp_path, capsys):
+    # mean count about 5.6e11: refused before the count draw starts
+    start = time.perf_counter()
+    code = run(
+        ["sample", "gamma", "--theta", "1", "--epsilon", "0.5",
+         "--window", "0,1e12", "--out", str(tmp_path / "x")]
+    )
+    assert code == 2
+    assert time.perf_counter() - start < 2.0
+    err = capsys.readouterr().err
+    assert "mean atom count" in err and "5.5977359e+11" in err
+
+
+def test_integer_beyond_double_range_exits_3(tmp_path, capsys):
+    src = tmp_path / "huge.jsonl"
+    src.write_text('{"d":1,"kind":"measure"}\n{"w":1' + "0" * 400 + ',"x":[0.5]}\n')
+    assert run(["reflect", "--in", str(src), "--out", str(tmp_path / "out.jsonl")]) == 3
+    assert "line 2" in capsys.readouterr().err

@@ -5,9 +5,10 @@ code, so they cannot see an output that changes for everybody.  These
 digests were recorded once; regenerate them only for an intended output
 change, and record that change in CHANGES.md.
 
-To print the current digests, run this module as a script:
+To regenerate, run this module as a script from the checkout root and
+paste the block it prints over ``GOLDEN`` below:
 
-    PYTHONPATH=src python tests/test_golden.py
+    python tests/test_golden.py
 """
 
 import hashlib
@@ -15,37 +16,40 @@ import sys
 import tempfile
 from pathlib import Path
 
+if __name__ == "__main__":
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))  # run from a checkout
+
 from platocone.cli import main
 
 # file name -> sha256 of its bytes
 GOLDEN = {
     "converge.json": "127f14e024ce5139fcb93b42235f075b3c6eb2c3437bcb2665835401cf481c4f",
     "converge_2d.json": "cf53aa0f1f968a012983ce052e647ef35cb66f38d72ae7915559bcacb0925872",
-    "gamma_back.jsonl": "031b4b6211c7a161f4d1d11a3abdd46bec604fa2956f71e1ffd7d0fda9b6e04e",
-    "gamma_kept.jsonl": "0d9612f65a1ab3ab365c2ec640593174dc9fc340ba6ebaa09f1fa5422ec10f59",
-    "gamma_plato.jsonl": "a62ed08ed66eadba81f9779266e59d90c7661310042193215499c116d9145eef",
-    "ordered_kept.jsonl": "b4dc7beb59599a3c9c95d6150c604534598a825271ec245beb5b56ee07ef492b",
-    "ordered_plato.jsonl": "743d66d588e785289ebf979ec82730a431ad86a5734cd90bda6428d16f83740c",
-    "pair_gamma.json": "9c00e896d5cae9cdfc90f20d2b600c5df19363aecdd07f8b1dd18d19f9aef68b",
-    "pair_gamma_kept.json": "9c00e896d5cae9cdfc90f20d2b600c5df19363aecdd07f8b1dd18d19f9aef68b",
-    "pair_ordered.json": "4e3ae733d07195456dd7658b459d76bdf952c5f858c07c955ebd81b21196e7bc",
-    "pair_ordered_plato.json": "4e3ae733d07195456dd7658b459d76bdf952c5f858c07c955ebd81b21196e7bc",
-    "pair_plato_mark.json": "eb5d49e37710ae6d486b57aeb552eed95e3fc09b1b4445cd62e5adae48a846fc",
+    "gamma_back.jsonl": "8506222d20885c98689fd6afc1d589f990eccd1b4cbfdfb7cf9984930b2c24b7",
+    "gamma_kept.jsonl": "361bf650c70b7a499e38bea019cdef75745c950b5cfbc571d4187d602f3eecce",
+    "gamma_plato.jsonl": "5d190a295e4f740bfdd5bb97a487d966cd7d057251abbdb0d0c0b1d814ee5dc1",
+    "ordered_kept.jsonl": "5bd9037cc9e144b7ac0230da279688b030a524e14c45fe592fe1b109afd30f6d",
+    "ordered_plato.jsonl": "d904f40a9af30fa7a14f24d97e885d290768896a49ac44501b2bc7a95250def2",
+    "pair_gamma.json": "2b78c22ea8c4dc2112bd8f0c2bb82ffa76293fec90b83327d859a44b658969ad",
+    "pair_gamma_kept.json": "2b78c22ea8c4dc2112bd8f0c2bb82ffa76293fec90b83327d859a44b658969ad",
+    "pair_ordered.json": "883f7a26543a12a1b4b01626514246b3be0be4e134d62e425608d9941977130c",
+    "pair_ordered_plato.json": "883f7a26543a12a1b4b01626514246b3be0be4e134d62e425608d9941977130c",
+    "pair_plato_mark.json": "26e99f2b9b26139cadfb054cdee805815b35cd98c8ae64df956d30c339a9777a",
     "pair_poisson.json": "92409fcf340f3ad0a5b20f1cb2ae28751bd7939a7860763933407449e3ada77d",
     "pair_poisson_indicator.json": "8bad86be879bc14b28d423fd031d58ef17c9535543b1897a22fb07df70afa30f",
-    "plato_kept.jsonl": "cd6de8afed900928e1fac03e814b6d1be04580ccce1a3f5211c9363cb28cef38",
+    "plato_kept.jsonl": "989d5814126137a71effad7df02b15a0f4c3c0c6e8084bec3fa86aaf9ee7b647",
     "poisson_kept.jsonl": "fd53d00484c0ce94500ac7646ebd400d1ecbfc1f4dd20f44e606d1ec5c5db630",
     "poisson_measure.jsonl": "9e695d748b8a0eaf1c86c6e6a7c83e25a02c49b3aebf4d81e3a16c22e4a29ed2",
-    "samples/gamma_ordered_seed5.jsonl": "e356edfe2b8220d5f08c8e0ae6cdf0f60697542508711a6f2a795633a9517c2f",
-    "samples/gamma_ordered_seed5.report.json": "a6aeb7fbda5500b1e98a4e0eaee8e51af079b667a48dd7f49b873612d34f2dd3",
-    "samples/gamma_seed11.jsonl": "031b4b6211c7a161f4d1d11a3abdd46bec604fa2956f71e1ffd7d0fda9b6e04e",
-    "samples/gamma_seed11.report.json": "0e884d01894a6466a4a49805833c3a6ad66ca5e2715dff93a9eb0d18e1f126a4",
-    "samples/gamma_seed12.jsonl": "45b9e51640e04a23938e74137a98bc19b474b77822710bb0f7f00761fcfaa7c1",
-    "samples/gamma_seed12.report.json": "1bdffe2a13c21fbd54a1d5a5bc8701134e23ae82aef31e9c75098e6a562651d7",
+    "samples/gamma_ordered_seed5.jsonl": "e9e84743823ea1f80a9432004ed0f2ed4d15da1f0b5adc4640a93a674eadeea4",
+    "samples/gamma_ordered_seed5.report.json": "76c40715ed1c08f07002eb03877aacf60319b284d3d0af096ee9d5f5562b0d1a",
+    "samples/gamma_seed11.jsonl": "8506222d20885c98689fd6afc1d589f990eccd1b4cbfdfb7cf9984930b2c24b7",
+    "samples/gamma_seed11.report.json": "479e5b251fe9fe7957a83e349e36cb81ccd3c8cbbc2b54f2085c058a85c9543a",
+    "samples/gamma_seed12.jsonl": "b67c0c85d818cab4f86d2f2e69c97afa2c5079145bb1573669112fc48591f55c",
+    "samples/gamma_seed12.report.json": "9f518173bfc60a56b14fef1e8421dc9677cad27f727c0d69930c21f9509022f6",
     "samples/poisson_seed3.jsonl": "d0d95bb717c873dcc69c1e46be4cf86120eb02eb7724b697a85e867b34b7125e",
-    "samples/poisson_seed3.report.json": "34ba16af29770689a3b3f8c3ce68831aa670e8b8089bad926f64177f84e28861",
-    "stats.json": "87b60e4649f1b426add06b8c039567da557527d9da6a599b8706e55271e07323",
-    "stats_inner.json": "913173822de170ee66c3657d06db4040ff2ece97007c41f18dbc3961f5d38c8f",
+    "samples/poisson_seed3.report.json": "944310146a733cc2134fbed8fd1331e1f187aef3d933aa6f458d3ebc43d7b6bd",
+    "stats.json": "6451f1475e8a79688d353ce94bc81904400191e50610df3c65ada454fa754d06",
+    "stats_inner.json": "8bfb0360b0f7aebd8e187ed9cb75f74f3bd44c31ec7ccd896e2849434e019637",
 }
 
 
@@ -112,6 +116,8 @@ def test_golden_outputs(tmp_path):
 
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
-        for name, digest in _build(Path(tmp)).items():
-            print(f'    "{name}": "{digest}",')
-    sys.exit(0)
+        digests = _build(Path(tmp))
+    print("GOLDEN = {")
+    for name, digest in digests.items():
+        print(f'    "{name}": "{digest}",')
+    print("}")

@@ -92,12 +92,19 @@ def test_file_io_round_trip(tmp_path):
 
 
 def test_report_serialization():
-    report = SampleReport(seed=7, epsilon=1e-8, expected_discarded_mass=9.999999950000001e-09, atom_count=24)
+    report = SampleReport(
+        seed=7, epsilon=1e-8, expected_discarded_mass=9.999999950000001e-09, atom_count=24,
+        algorithm=2, e1_iterations=5, e1_residual=1.25e-13,
+    )
     line = jsonl.serialize_report(report)
     assert line == (
-        '{"seed":7,"epsilon":1e-08,"expected_discarded_mass":9.999999950000001e-09,"atom_count":24}\n'
+        '{"seed":7,"epsilon":1e-08,"expected_discarded_mass":9.999999950000001e-09,"atom_count":24,'
+        '"algorithm":2,"e1_iterations":5,"e1_residual":1.25e-13}\n'
     )
-    no_eps = SampleReport(seed=1, epsilon=None, expected_discarded_mass=0.0, atom_count=3)
+    no_eps = SampleReport(
+        seed=1, epsilon=None, expected_discarded_mass=0.0, atom_count=3,
+        algorithm=2, e1_iterations=0, e1_residual=0.0,
+    )
     assert '"epsilon":null' in jsonl.serialize_report(no_eps)
 
 
@@ -127,3 +134,19 @@ def test_non_canonical_file_exits_3(tmp_path):
     src = tmp_path / "dup.jsonl"
     src.write_text('{"d":1,"kind":"measure"}\n{"w":1.0,"x":[0.5]}\n{"w":2.0,"x":[0.5]}\n')
     assert main(["reflect", "--in", str(src), "--out", str(tmp_path / "out.jsonl")]) == 3
+
+
+def test_integer_beyond_double_range_is_rejected_with_its_line():
+    huge = "1" + "0" * 400
+    text = f'{{"d":1,"kind":"measure"}}\n{{"w":0.5,"x":[0.1]}}\n{{"w":{huge},"x":[0.5]}}\n'
+    with pytest.raises(JsonlFormatError, match="line 3: number beyond the double range"):
+        jsonl.parse(text)
+    coord = f'{{"d":1,"kind":"measure"}}\n{{"w":0.5,"x":[-{huge}]}}\n'
+    with pytest.raises(JsonlFormatError, match="line 2:"):
+        jsonl.parse(coord)
+    # past Python's integer digit limit json.loads itself raises ValueError
+    digits = f'{{"d":1,"kind":"measure"}}\n{{"w":0.5,"x":[1{"0" * 5000}]}}\n'
+    with pytest.raises(JsonlFormatError, match="line 2: invalid JSON"):
+        jsonl.parse(digits)
+    with pytest.raises(JsonlFormatError, match="invalid JSON header"):
+        jsonl.parse(f'{{"d":1{"0" * 5000},"kind":"measure"}}\n')

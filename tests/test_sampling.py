@@ -24,7 +24,15 @@ from platocone import (
     sample_poisson,
     to_plato,
 )
-from platocone.sampling import _poisson_draw, substream
+from platocone import stats
+from platocone.sampling import (
+    _E1_SERIES_AT_ONE,
+    _MIN_E1_TARGET,
+    _NEWTON_MAX_ITER,
+    _invert_e1,
+    _poisson_draw,
+    substream,
+)
 
 UNIT = Window((0.0,), (1.0,))
 
@@ -133,6 +141,7 @@ def test_sample_poisson_deterministic_and_valid():
     assert ra.epsilon is None
     assert ra.expected_discarded_mass == 0.0
     assert ra.atom_count == len(a)
+    assert (ra.algorithm, ra.e1_iterations, ra.e1_residual) == (2, 0, 0.0)
 
 
 def test_sample_poisson_mark_mass():
@@ -211,3 +220,110 @@ def test_non_finite_volume_or_mean_is_rejected():
         sample_gamma(1e300, Window((0.0,), (1e10,)), 0.5, 0)
     with pytest.raises(InvalidArgument):
         sample_gamma_ordered(1e300, Window((0.0,), (1e10,)), 3, 0)
+
+
+def reference_e1_root(t):
+    """Plain bisection on ln s, run until the midpoint equals an end.
+
+    The bracket ln s in [-gamma - t - 1, ln(2 + |ln t|)] holds for every
+    positive t: E1(s) > -gamma - ln s below 1, and E1(s) < e^-s above 1.
+    """
+    lo = -stats._EULER_GAMMA - t - 1.0
+    hi = np.log(2.0 + np.abs(np.log(t)))
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if np.all((mid == lo) | (mid == hi)):
+            break
+        above = stats.e1_array(np.exp(mid)) >= t
+        lo = np.where(above, mid, lo)
+        hi = np.where(above, hi, mid)
+    return np.exp(0.5 * (lo + hi))
+
+
+def inversion_targets():
+    e1_one = exp_integral_e1(1.0)
+    edges = [
+        e1_one, np.nextafter(e1_one, 0.0), np.nextafter(e1_one, 1.0),
+        _E1_SERIES_AT_ONE, np.nextafter(_E1_SERIES_AT_ONE, 0.0), np.nextafter(_E1_SERIES_AT_ONE, 1.0),
+        _MIN_E1_TARGET, 1e-300, 700.0, exp_integral_e1(1e-8),
+    ]
+    spread = np.geomspace(1e-300, 700.0, 400)
+    rng = np.random.default_rng(2024)
+    scattered = np.exp(rng.uniform(np.log(1e-300), np.log(700.0), 400))
+    near_one = e1_one * (1.0 + rng.uniform(-1e-6, 1e-6, 50))
+    return np.concatenate([edges, spread, scattered, near_one])
+
+
+def test_invert_e1_meets_the_relative_contract():
+    t = inversion_targets()
+    roots, iterations, _ = _invert_e1(t)
+    deviation = np.abs(roots / reference_e1_root(t) - 1.0)
+    assert deviation.max() <= 1e-12, t[np.argmax(deviation)]
+    assert 1 <= iterations <= 8
+
+
+def test_invert_e1_roots_strictly_decrease():
+    t = np.sort(inversion_targets())
+    pairs = np.concatenate([t, t * (1.0 + 2e-9)])
+    pairs = np.sort(pairs[pairs <= 700.0])
+    keep = np.concatenate([[True], pairs[1:] / pairs[:-1] > 1.0 + 1e-9])
+    roots, _, _ = _invert_e1(pairs[keep])
+    assert np.all(np.diff(roots) < 0.0)
+
+
+def test_invert_e1_certificate_matches_recomputation():
+    t = inversion_targets()
+    roots, iterations, residual = _invert_e1(t)
+    # E1 recomputed root by root: series below 1, scalar continued fraction above
+    e1 = np.array([stats.e1_array(np.array([s]))[0] for s in roots])
+    assert residual == np.max(np.abs(e1 / t - 1.0))
+    assert residual <= 1e-11
+    # a batch reports the worst of its roots, each solved alone
+    alone = [_invert_e1(np.array([v])) for v in t]
+    assert iterations == max(a[1] for a in alone) < _NEWTON_MAX_ITER
+    assert residual == max(a[2] for a in alone)
+    assert all(a[0][0] == r for a, r in zip(alone, roots))
+
+
+def test_invert_e1_rejects_targets_outside_its_range():
+    assert _invert_e1(np.array([]))[1:] == (0, 0.0)
+    for bad in [0.0, 1e-310, 700.5, float("nan")]:
+        with pytest.raises(InvalidArgument):
+            _invert_e1(np.array([1.0, bad]))
+    # theta * volume = 1e308 puts the first arrivals' targets below the normal range
+    with pytest.raises(InvalidArgument, match="subnormal"):
+        sample_gamma_ordered(1e300, Window((0.0,), (1e8,)), 3, 0)
+
+
+def test_sample_gamma_report_certifies_its_marks():
+    e1_eps = exp_integral_e1(1e-8)
+    for seed in range(20):
+        eta, report = sample_gamma(1.0, UNIT, 1e-8, seed)
+        assert report.algorithm == 2
+        u = substream(seed, 1).random(len(eta))
+        assert np.all(u > 0.0)
+        t = np.sort((1.0 - u) * e1_eps)
+        marks = np.sort(eta.marks)[::-1]
+        e1 = np.array([stats.e1_array(np.array([s]))[0] for s in marks])
+        assert report.e1_residual == np.max(np.abs(e1 / t - 1.0), initial=0.0)
+        assert (report.e1_iterations == 0) == (len(eta) == 0)
+        assert report.e1_iterations <= 8
+
+
+def test_count_and_position_substreams_are_untouched():
+    mean = exp_integral_e1(1e-8)
+    for seed in range(200):
+        eta, report = sample_gamma(1.0, UNIT, 1e-8, seed)
+        n = _poisson_draw(substream(seed, 0), mean)
+        assert report.atom_count == n
+        positions = substream(seed, 2).random((n, 1))
+        assert np.array_equal(np.sort(eta.positions, axis=0), np.sort(positions, axis=0))
+
+
+def test_mean_count_above_the_cap_is_rejected():
+    with pytest.raises(InvalidArgument, match="mean atom count 5.5977359e\\+11 exceeds"):
+        sample_gamma(1.0, Window((0.0,), (1e12,)), 0.5, 0)
+    with pytest.raises(InvalidArgument, match="mean atom count"):
+        sample_poisson(FiniteProduct(exp_mark_density(), spatial_rate=2e7), UNIT, 0)
+    with pytest.raises(InvalidArgument, match="n_jumps 10000001 exceeds"):
+        sample_gamma_ordered(1.0, UNIT, 10**7 + 1, 0)
