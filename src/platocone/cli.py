@@ -12,6 +12,7 @@ parse failure.  Diagnostics are single lines on stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -301,7 +302,10 @@ def _cmd_converge(args) -> int:
     return 0
 
 
-def _build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and then reused: each
+    ``parse_args`` call fills a fresh ``Namespace`` and holds no state."""
     parser = argparse.ArgumentParser(
         prog="platocone",
         description="Sample, transform and verify marked configurations and discrete measures.",
@@ -368,9 +372,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:

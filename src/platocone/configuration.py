@@ -339,8 +339,11 @@ class _PointArrays:
             if not cls._mark_in_key:
                 ends = np.append(starts[1:], len(marks))
                 runs = ends - starts > 1
-                for a, b in zip(starts[runs], ends[runs]):
-                    marks[a] = np.cumsum(marks[a:b])[-1]
+                with np.errstate(over="ignore"):
+                    for a, b in zip(starts[runs], ends[runs]):
+                        marks[a] = np.cumsum(marks[a:b])[-1]
+                if np.isinf(marks).any():
+                    raise cls._bad_mark("weights merged at one position sum to inf")
             marks, positions = marks[starts], positions[starts]
         return cls._wrap(marks, positions)
 

@@ -94,40 +94,23 @@ def _e1_cf_scalar(s: float) -> float:
     return h * math.exp(-s)
 
 
-def _e1_continued_fraction(s: np.ndarray) -> np.ndarray:
-    # Small batches go through the scalar Lentz loop (per-element early
-    # exit); larger ones run the same recurrence vectorized.
-    if s.size <= 8:
-        return np.array([_e1_cf_scalar(float(v)) for v in s])
-    b = s + 1.0
-    c = np.full_like(s, 1.0 / _LENTZ_TINY)
-    d = 1.0 / b
-    h = d.copy()
-    for i in range(1, _MAX_CF_ITER + 1):
-        a = -float(i * i)
-        b = b + 2.0
-        den = a * d + b
-        den = np.where(np.abs(den) < _LENTZ_TINY, _LENTZ_TINY, den)
-        d = 1.0 / den
-        c = b + a / c
-        c = np.where(np.abs(c) < _LENTZ_TINY, _LENTZ_TINY, c)
-        delta = c * d
-        h *= delta
-        if np.all(np.abs(delta - 1.0) < _LENTZ_EPS):
-            break
-    return h * np.exp(-s)
-
-
 def e1_array(s: np.ndarray) -> np.ndarray:
-    """Vectorized E1 on positive arguments; branches at s = 1."""
+    """E1 on an array of positive arguments; branches at s = 1.
+
+    The series below 1 is vectorized; above 1 each element runs its own
+    continued fraction.  Either way an element's value is the value it has
+    alone, bit for bit.
+    """
     s = np.asarray(s, dtype=float)
     out = np.empty_like(s)
     small = s < 1.0
     if np.any(small):
         out[small] = _e1_series(s[small])
     if not np.all(small):
+        # one scalar Lentz loop per element, so each value's bits do not
+        # depend on the rest of the batch
         big = ~small
-        out[big] = _e1_continued_fraction(s[big])
+        out[big] = [_e1_cf_scalar(v) for v in s[big].tolist()]
     return out
 
 

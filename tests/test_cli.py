@@ -2,8 +2,13 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
+import platocone
 from platocone import Window, make_configuration, sample_gamma
 from platocone import jsonl
 from platocone.cli import main
@@ -277,3 +282,65 @@ def test_integer_beyond_double_range_exits_3(tmp_path, capsys):
     src.write_text('{"d":1,"kind":"measure"}\n{"w":1' + "0" * 400 + ',"x":[0.5]}\n')
     assert run(["reflect", "--in", str(src), "--out", str(tmp_path / "out.jsonl")]) == 3
     assert "line 2" in capsys.readouterr().err
+
+
+def test_non_utf8_input_exits_3(tmp_path, capsys):
+    src = tmp_path / "latin.jsonl"
+    src.write_bytes(b'\xff\xfe{"d":1}\n')
+    assert run(["reflect", "--in", str(src), "--out", str(tmp_path / "o")]) == 3
+    assert "not UTF-8 text" in capsys.readouterr().err
+
+
+def _run_in_own_process(argv, env_seed=None):
+    """Run the CLI in a fresh interpreter; returns its exit code and stdout."""
+    env = dict(os.environ)
+    env.pop("PLATO_CONE_SEED", None)
+    if env_seed is not None:
+        env["PLATO_CONE_SEED"] = env_seed
+    src = str(Path(platocone.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "platocone.cli", *argv], env=env, capture_output=True, timeout=120
+    )
+    return proc.returncode, proc.stdout
+
+
+def _outputs(path):
+    return {p.name: p.read_bytes() for p in sorted(path.iterdir())} if path.is_dir() else path.read_bytes()
+
+
+def test_reused_parser_gives_first_run_bytes(tmp_path, monkeypatch):
+    """The second command of each pair, run after the first in this process,
+    writes what it writes as the first command of a fresh process."""
+    monkeypatch.delenv("PLATO_CONE_SEED", raising=False)
+    configs = []
+    for n in (1, 2):
+        path = tmp_path / f"c{n}.jsonl"
+        jsonl.write(path, make_configuration([(1.0, [0.0]), (1.0 + 1.0 / n, [0.0])], 1))
+        configs.append(str(path))
+    limit = tmp_path / "limit.jsonl"
+    jsonl.write(limit, make_configuration([(1.0, [0.0]), (1.0, [1.0])], 1))
+    assert run(["sample", "gamma", "--theta", "1", "--window", "0,1", "--epsilon", "1e-4",
+                "--seed", "5", "--out", str(tmp_path)]) == 0
+    measure = str(tmp_path / "gamma_seed5.jsonl")
+    converge_default = ["converge", "--n-max", "20"]
+    pairs = [
+        # (first command, PLATO_CONE_SEED during it, second command)
+        (["converge", "--in", *configs, "--limit", str(limit), "--n-max", "5"], None, converge_default),
+        (["pair", "--in", measure, "--window", "0,1", "--fn", "mark"], None,
+         ["pair", "--in", measure, "--window", "0,1"]),
+        (["--help"], None, converge_default),
+        (["sample", "poisson", "--window", "0,1", "--out", str(tmp_path / "env")], "7",
+         ["sample", "poisson", "--window", "0,1", "--seed", "2"]),
+    ]
+    for i, (first, seed, then) in enumerate(pairs):
+        if seed is not None:
+            monkeypatch.setenv("PLATO_CONE_SEED", seed)
+        assert run(first) == 0
+        monkeypatch.delenv("PLATO_CONE_SEED", raising=False)
+        here, fresh = tmp_path / f"here{i}", tmp_path / f"fresh{i}"
+        assert run([*then, "--out", str(here)]) == 0
+        assert _run_in_own_process([*then, "--out", str(fresh)])[0] == 0
+        assert _outputs(here) == _outputs(fresh), then
+    assert sorted(_outputs(tmp_path / "env")) == ["poisson_seed7.jsonl", "poisson_seed7.report.json"]
+    assert sorted(_outputs(tmp_path / "here3")) == ["poisson_seed2.jsonl", "poisson_seed2.report.json"]

@@ -55,6 +55,11 @@ def test_nonpositive_weight_rejected():
             make_measure([(bad, [0.0])], 1)
 
 
+def test_merged_weight_overflow_rejected():
+    with pytest.raises(NonPositiveWeight, match="sum to inf"):
+        make_measure([(1.7976931348623157e308, [0.0]), (1.7976931348623157e308, [0.0])], 1)
+
+
 def test_support_extraction():
     eta = make_measure([(2.0, [1.0]), (0.5, [-1.0])], 1)
     assert support(eta) == frozenset({(1.0,), (-1.0,)})

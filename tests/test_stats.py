@@ -35,6 +35,13 @@ def test_e1_against_scipy_to_1e14():
     assert np.max(np.abs(e1_array(grid) - exp1(grid))) <= 1e-14
 
 
+def test_e1_array_element_bits_do_not_depend_on_the_batch():
+    s = np.array([684.0, 50.0, 3.0] + [1.0] * 8 + [0.5, 1e-8])
+    alone = [e1_array(np.array([v]))[0] for v in s]
+    assert e1_array(s).tobytes() == np.array(alone).tobytes()
+    assert [exp_integral_e1(v) for v in s] == alone
+
+
 def test_e1_bracket_inequality():
     for s in np.logspace(-8, math.log10(50.0), 300):
         upper = math.exp(-s) * math.log1p(1.0 / s)
