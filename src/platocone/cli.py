@@ -243,6 +243,8 @@ def _cmd_stats(args) -> int:
         )
         report["count_mean"] = sum(counts) / n
         mu = args.theta * volume * exp_integral_e1(args.epsilon)
+        if not math.isfinite(mu):
+            _fail(f"expected atom count theta * volume * E1(epsilon) overflows a double: {mu}")
         report["count_expected"] = mu
         report["count_tolerance"] = 3.0 * math.sqrt(mu / n)
     if not report["insufficient_n"]:
@@ -284,7 +286,10 @@ def _cmd_converge(args) -> int:
     else:
         if args.s1 == args.s2:
             _fail(f"--s1 and --s2 must differ, got {args.s1}")
-        x0 = tuple(float(v) for v in args.x0.split(","))
+        try:
+            x0 = tuple(float(v) for v in args.x0.split(","))
+        except ValueError:
+            _fail(f"--x0 expects comma-separated numbers, got {args.x0!r}")
         if args.dim is not None and args.dim != len(x0):
             _fail(f"--dim {args.dim} contradicts --x0 with {len(x0)} coordinates")
         family = merging_family(x0, args.s1, args.s2)

@@ -13,8 +13,11 @@ restricted to a mark interval ``(a, b]``.  Half-open boxes tile exactly,
 so disjoint unions of windows behave additively without boundary
 double-counting.
 
-Count, mass, restriction and pairing are each one kernel here, over a
-boolean window mask.  Measures (:mod:`.cone`) and pinpointing
+Count, mass and restriction are each one kernel here, over a boolean
+window mask.  Pairing is one kernel too: it evaluates a list of test
+functions through their array forms (:meth:`TestFunction.evaluate`) over
+the points of a list of configurations and sums each pairing in
+canonical order.  Measures (:mod:`.cone`) and pinpointing
 configurations (:mod:`.plato`) hold the same two arrays and run the same
 kernels, so quantities agree bitwise across the reflection by
 construction.
@@ -28,6 +31,7 @@ tolerance would make set membership intransitive.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
@@ -45,7 +49,7 @@ _SPACE = "space"  # functions of position only
 def _clean_coordinate(value) -> float:
     v = float(value)
     if not math.isfinite(v):
-        raise InvalidArgument(f"coordinate must be finite, got {value!r}")
+        raise InvalidArgument(f"coordinate must be finite, got {v!r}")
     # fold -0.0 into 0.0 so that ordering, equality and bits agree
     return 0.0 if v == 0.0 else v
 
@@ -69,7 +73,7 @@ class MarkedPoint:
     def __post_init__(self):
         m = float(self.mark)
         if not (math.isfinite(m) and m > 0.0):
-            raise NonPositiveMark(f"mark must be a positive finite real, got {self.mark!r}")
+            raise NonPositiveMark(f"mark must be a positive finite real, got {m!r}")
         object.__setattr__(self, "mark", m)
         object.__setattr__(self, "position", clean_position(self.position))
 
@@ -145,15 +149,88 @@ class Window:
         return a < mark <= b
 
 
+def _hat_factor(col: np.ndarray, center: float, width: float) -> np.ndarray:
+    """The cubic hat ``1 - 3t^2 + 2t^3`` at ``t = |col - center| / width``.
+
+    ``t`` is clamped to 1, where the polynomial is exactly 0.0, so every
+    factor vanishes at and beyond its support faces.  The operations and
+    their order are those of the scalar formula, so each element has the
+    bits a Python float evaluation gives.
+    """
+    t = np.minimum(np.abs(col - center) / width, 1.0)
+    return 1.0 - 3.0 * t * t + 2.0 * t * t * t
+
+
+class _HatForm:
+    """Array form of a tensor product of cubic hats.
+
+    ``factors`` holds ``(axis, center, half_width, lo, hi)`` in
+    multiplication order, where axis -1 is the mark and ``(lo, hi)`` are
+    the support's bounds on that axis.  A value is the product of the
+    factors in that order.  Just below ``t = 1`` the cubic rounds to values
+    as small as -4.4e-16, so a product can reach -0.0; a zero partial
+    product before the last factor gives +0.0, as a scalar evaluation
+    that stops at the first zero does.
+    """
+
+    __slots__ = ("factors",)
+
+    def __init__(self, factors, support: Window):
+        lo, hi = support.lower, support.upper
+        bounds = lambda axis: support.mark_interval if axis < 0 else (lo[axis], hi[axis])
+        self.factors = tuple((axis, center, width, *bounds(axis)) for axis, center, width in factors)
+
+    def __call__(self, marks, positions):
+        value = before = None
+        for axis, center, width, _, _ in self.factors:
+            factor = _hat_factor(marks if axis < 0 else positions[:, axis], center, width)
+            before, value = value, factor if value is None else value * factor
+        return value if before is None else np.where(before == 0.0, 0.0, value)
+
+
+def _per_point(evaluator: Callable, domain: str) -> Callable:
+    """The array form of a scalar evaluator: one Python call per row."""
+
+    def form(marks, positions):
+        xs = map(tuple, positions.tolist())
+        values = map(evaluator, xs) if domain == _SPACE else map(evaluator, marks.tolist(), xs)
+        return np.array([float(v) for v in values], dtype=float)
+
+    return form
+
+
+def _one_row(form: Callable, domain: str) -> Callable:
+    """The scalar evaluator of an array form: the form run on one row."""
+    if domain == _SPACE:
+        return lambda x: float(form(None, np.array([x], dtype=float))[0])
+    return lambda s, x: float(form(np.array([s], dtype=float), np.array([x], dtype=float))[0])
+
+
+def _inside(lam: Window, marks, positions: np.ndarray) -> np.ndarray:
+    """Membership of each row in the window: ``bool[n]``.  With ``marks``
+    None the mark interval is not tested."""
+    inside = ((positions >= lam.lower) & (positions < lam.upper)).all(axis=1)
+    if marks is not None and lam.mark_interval is not None:
+        a, b = lam.mark_interval
+        inside &= (marks > a) & (marks <= b)
+    return inside
+
+
 @dataclass(frozen=True)
 class TestFunction:
     """An evaluable real function with a declared support window.
 
     ``domain`` selects the call signature: ``"space"`` functions are
     evaluated as ``f(x)`` on positions, ``"phase"`` functions as
-    ``f(s, x)`` on (mark, position) pairs.  The wrapper returns 0.0 for
-    arguments outside the declared support, so the stored evaluator only
-    ever sees points inside it.
+    ``f(s, x)`` on (mark, position) pairs.  Values are 0.0 outside the
+    declared support, so the stored evaluator only ever sees points
+    inside it.
+
+    :meth:`evaluate` computes the values at many rows at once.  The
+    built-in functions (:func:`indicator`, :func:`mark_weighted`,
+    :func:`linear_combination` and the hats of :mod:`.topology`) carry an
+    array form for it; a function built here from a scalar ``evaluator``
+    is called once per row inside the support.
 
     ``lipschitz`` is declared metadata: an upper bound on the Lipschitz
     constant with respect to the l1 distance on the function's arguments
@@ -165,6 +242,8 @@ class TestFunction:
     support: Window
     lipschitz: float | None = None
     domain: str = _PHASE
+    # (marks, positions) -> float64[n] for rows inside the support
+    _form: Callable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.domain not in (_PHASE, _SPACE):
@@ -174,32 +253,56 @@ class TestFunction:
             if not (math.isfinite(L) and L >= 0.0):
                 raise InvalidArgument(f"lipschitz must be a nonnegative real or None, got {L}")
             object.__setattr__(self, "lipschitz", L)
+        object.__setattr__(self, "_form", _per_point(self.evaluator, self.domain))
+
+    @classmethod
+    def _of_form(cls, form: Callable, support: Window, lipschitz, domain: str) -> "TestFunction":
+        """A function given by its array form; ``evaluator`` runs it on one row."""
+        fn = cls(_one_row(form, domain), support, lipschitz, domain)
+        object.__setattr__(fn, "_form", form)
+        return fn
 
     @property
     def dimension(self) -> int:
         return self.support.dimension
 
+    def evaluate(self, marks, positions) -> np.ndarray:
+        """The values at the rows ``(marks[i], positions[i])`` as ``float64[n]``.
+
+        Rows outside the support give 0.0.  Position functions ignore
+        ``marks``, which may be None.  Raises :class:`InvalidArgument`
+        once, after evaluating every row, if any value is not finite.
+        """
+        positions = np.asarray(positions, dtype=float)
+        if positions.ndim != 2 or positions.shape[1] != self.dimension:
+            raise DimensionMismatch(
+                f"positions of shape {positions.shape} against a function of dimension {self.dimension}"
+            )
+        if self.domain == _SPACE:
+            marks = None
+        else:
+            marks = np.asarray(marks, dtype=float)
+            if marks.shape != positions.shape[:1]:
+                raise InvalidArgument(f"expected {len(positions)} marks, got shape {marks.shape}")
+        inside = _inside(self.support, marks, positions)
+        out = np.zeros(len(positions))
+        out[inside] = self._form(None if marks is None else marks[inside], positions[inside])
+        if not np.isfinite(out).all():
+            raise InvalidArgument("test function returned a non-finite value on its support")
+        return out
+
     def __call__(self, *args) -> float:
+        """``f(x)`` or ``f(s, x)``: :meth:`evaluate` on one row."""
         if self.domain == _SPACE:
             (x,) = args
-            if not self.support.contains_position(x):
-                return 0.0
-            v = float(self.evaluator(x))
-        else:
-            s, x = args
-            if not (self.support.contains_position(x) and self.support.contains_mark(s)):
-                return 0.0
-            v = float(self.evaluator(s, x))
-        if not math.isfinite(v):
-            raise InvalidArgument("test function returned a non-finite value on its support")
-        return v
+            return float(self.evaluate(None, [x])[0])
+        s, x = args
+        return float(self.evaluate([s], [x])[0])
 
 
 def indicator(support: Window, domain: str = _PHASE) -> TestFunction:
     """The function equal to 1 on ``support`` and 0 outside (unknown Lipschitz)."""
-    if domain == _SPACE:
-        return TestFunction(lambda x: 1.0, support, None, _SPACE)
-    return TestFunction(lambda s, x: 1.0, support, None, _PHASE)
+    return TestFunction._of_form(lambda marks, positions: np.ones(len(positions)), support, None, domain)
 
 
 def mark_weighted(fn: TestFunction) -> TestFunction:
@@ -212,7 +315,8 @@ def mark_weighted(fn: TestFunction) -> TestFunction:
     if fn.domain != _SPACE:
         raise InvalidArgument("mark_weighted expects a position-domain function")
     base = Window(fn.support.lower, fn.support.upper)
-    return TestFunction(lambda s, x: s * fn(x), base, None, _PHASE)
+    form = lambda marks, positions: marks * fn.evaluate(None, positions)
+    return TestFunction._of_form(form, base, None, _PHASE)
 
 
 def linear_combination(terms: Sequence[tuple]) -> TestFunction:
@@ -221,7 +325,8 @@ def linear_combination(terms: Sequence[tuple]) -> TestFunction:
     All functions must share domain kind and dimension.  The support of the
     result is the bounding box of the members' supports (with the union of
     mark ranges for phase functions); each member still vanishes outside
-    its own support, so the pointwise sum is exact.
+    its own support, so the pointwise sum is exact.  The terms are added
+    in order, starting from 0.0.
     """
     if not terms:
         raise InvalidArgument("linear_combination requires at least one term")
@@ -245,13 +350,13 @@ def linear_combination(terms: Sequence[tuple]) -> TestFunction:
     if all(fn.lipschitz is not None for fn in fns):
         lip = _total([abs(c) * fn.lipschitz for c, fn in zip(coefs, fns)])
 
-    def ev(*args):
-        total = 0.0
+    def form(marks, positions):
+        total = np.zeros(len(positions))
         for c, fn in zip(coefs, fns):
-            total += c * fn(*args)
+            total += c * fn.evaluate(marks, positions)
         return total
 
-    return TestFunction(ev, support, lip, domain)
+    return TestFunction._of_form(form, support, lip, domain)
 
 
 def _total(values) -> float:
@@ -316,7 +421,7 @@ class _PointArrays:
             raise InvalidArgument("dimension must be >= 1, got 0")
         good = (marks > 0.0) & (marks < math.inf)  # False for NaN
         if not good.all():
-            raise cls._bad_mark(f"{marks[~good][0]!r} is not a positive finite real")
+            raise cls._bad_mark(f"{float(marks[~good][0])!r} is not a positive finite real")
         if not np.isfinite(positions).all():
             raise InvalidArgument("coordinates must be finite")
         positions += 0.0  # fold -0.0 into 0.0 so that ordering, equality and bits agree
@@ -445,26 +550,10 @@ def make_configuration(raw_points: Iterable, d: int) -> Configuration:
     return Configuration._canonical(*_rows(raw_points, d))
 
 
-def _bounds(windows, with_marks: bool = True):
-    """Stacked window bounds, shaped to broadcast against ``n`` points."""
-    lo = np.array([w.lower for w in windows])[:, None, :]
-    hi = np.array([w.upper for w in windows])[:, None, :]
-    everything = (-math.inf, math.inf)
-    iv = np.array([(w.mark_interval if with_marks else None) or everything for w in windows])
-    return lo, hi, iv[:, :1], iv[:, 1:]
-
-
-def _window_masks(bounds, data) -> np.ndarray:
-    """Membership of every point in every window: ``bool[k, n]``."""
-    lo, hi, a, b = bounds
-    x, s = data.positions, data.marks
-    return ((x >= lo) & (x < hi)).all(axis=2) & (s > a) & (s <= b)
-
-
 def _mask(data, lam: Window) -> np.ndarray:
     if data.dimension != lam.dimension:
         raise DimensionMismatch(f"data of dimension {data.dimension}, window of {lam.dimension}")
-    return _window_masks(_bounds((lam,)), data)[0]
+    return _inside(lam, data.marks, data.positions)
 
 
 def count_in_window(gamma: Configuration, lam: Window) -> int:
@@ -513,43 +602,103 @@ def canonical_order(gamma: Configuration) -> list:
     return list(gamma.points)
 
 
-def _finite(value) -> float:
-    v = float(value)
-    if not math.isfinite(v):
-        raise InvalidArgument("test function returned a non-finite value on its support")
-    return v
+# Member values the pairing kernel holds at once; the points are visited
+# in blocks of about this many values over all (member, configuration)
+# pairs, so memory stays bounded and the bits do not depend on it.
+_BLOCK_CELLS = 1 << 18
 
 
-def _pairings(functions: Sequence[TestFunction], bounds, data) -> list:
-    """``<f, data>`` for each function (all of one domain), with the support
-    bounds stacked in ``bounds``.
+class _Pairing:
+    """The pairing kernel of a fixed list of test functions of one domain
+    and dimension: :meth:`matrix` gives ``<f_j, data_i>`` for a list of
+    configurations or measures as a ``[data, functions]`` array.
 
-    The points inside a function's support are visited in canonical order
-    and their values summed sequentially: ``f(s, x)`` for phase functions,
-    ``s * f(x)`` for position functions.
+    Hat members share one table: each distinct factor (axis, center, half
+    width and the support bounds on that axis) is one row over the points,
+    zero outside those bounds, and a member's values are the product of
+    its rows in the order of :class:`_HatForm`.  Other members call
+    :meth:`TestFunction.evaluate`.  Position functions contribute
+    ``s * f(x)``.
+
+    Each sum runs over a member's values in canonical order, starting
+    from 0.0: one ``cumsum`` along the points per block of points, with
+    the running sums of the previous block as its first row and +0.0
+    after each configuration's last point.  Adding a zero of either sign
+    to a sum that starts at +0.0 leaves its bits as they are, so every
+    sum equals a plain loop over the points inside the support, whatever
+    the block size, and zeros from the table need no sign fix.
     """
-    totals = [0.0] * len(functions)
-    evs = [f.evaluator for f in functions]
-    # row-major: member by member, each member's points in canonical order
-    members, points = _window_masks(bounds, data).nonzero()
-    hits = zip(
-        members.tolist(), data.marks[points].tolist(), map(tuple, data.positions[points].tolist())
-    )
-    if functions[0].domain == _PHASE:
-        for j, s, x in hits:
-            totals[j] += _finite(evs[j](s, x))
-    else:
-        for j, s, x in hits:
-            totals[j] += s * _finite(evs[j](x))
-    return totals
+
+    def __init__(self, functions: Sequence[TestFunction]):
+        self.functions = tuple(functions)
+        self.domain = self.functions[0].domain
+        self.dimension = self.functions[0].dimension
+        hats = {j: f._form.factors for j, f in enumerate(self.functions) if type(f._form) is _HatForm}
+        # the distinct factors, grouped by axis so that each axis is one pass over the points
+        order = sorted(dict.fromkeys(key for keys in hats.values() for key in keys), key=lambda key: key[0])
+        row_of = {key: i for i, key in enumerate(order)}
+        self._axes = [
+            (axis, *np.array([key[1:] for key in group]).T[:, :, None])
+            for axis, group in itertools.groupby(order, key=lambda key: key[0])
+        ]
+        self._hats = list(hats)
+        # [factor position, hat member]: the table row of each factor
+        self._rows = np.array([[row_of[key] for key in keys] for keys in hats.values()], dtype=np.intp).T
+        self._others = [j for j in range(len(self.functions)) if j not in hats]
+
+    def values(self, marks: np.ndarray, positions: np.ndarray) -> np.ndarray:
+        """The terms ``f_j(s, x)`` (or ``s * f_j(x)``) at every row: ``[functions, n]``."""
+        out = np.empty((len(self.functions), len(marks)))
+        if self._hats:
+            tables = []
+            for axis, center, width, lo, hi in self._axes:
+                col = marks if axis < 0 else positions[:, axis]
+                inside = (col > lo) & (col <= hi) if axis < 0 else (col >= lo) & (col < hi)
+                tables.append(np.where(inside, _hat_factor(col, center, width), 0.0))
+            table = np.concatenate(tables)
+            product = table[self._rows[0]]
+            for rows in self._rows[1:]:
+                product *= table[rows]
+            out[self._hats] = product
+        for j in self._others:
+            out[j] = self.functions[j].evaluate(marks, positions)
+        if self.domain == _SPACE:
+            out *= marks
+        return out
+
+    def matrix(self, data: Sequence) -> np.ndarray:
+        """The pairings ``<f_j, data[i]>`` as ``float64[len(data), len(functions)]``."""
+        for item in data:
+            if item.dimension != self.dimension:
+                raise DimensionMismatch(
+                    f"test functions over dimension {self.dimension}, data over {item.dimension}"
+                )
+        k, m = len(data), len(self.functions)
+        marks = np.concatenate([item.marks for item in data])
+        positions = np.concatenate([item.positions for item in data])
+        lengths = np.array([len(item) for item in data], dtype=np.intp)
+        starts = np.cumsum(lengths) - lengths
+        longest = int(lengths.max(initial=0))
+        width = max(1, _BLOCK_CELLS // max(1, k * m))
+        sums = np.zeros((k, m))
+        # s * f(x) and the sums may overflow to inf, silently, as float loops do
+        with np.errstate(over="ignore"):
+            for first in range(0, longest, width):
+                cols = np.arange(first, min(first + width, longest))
+                present = cols[:, None] < lengths  # [block, k]; the rest of the block stays +0.0
+                rows = (cols[:, None] + starts)[present]
+                # [1 + block, k, m]: the running sums, then one row of terms per point
+                block = np.zeros((len(cols) + 1, k, m))
+                block[0] = sums
+                block[1:][present] = self.values(marks[rows], positions[rows]).T
+                sums = np.cumsum(block, axis=0)[-1]
+        return sums
 
 
 def _pair(f: TestFunction, data, domain: str) -> float:
     if f.domain != domain:
         raise InvalidArgument(f"expected a {domain}-domain test function, got {f.domain!r}")
-    if f.dimension != data.dimension:
-        raise DimensionMismatch(f"function over dimension {f.dimension}, data over {data.dimension}")
-    return _pairings((f,), _bounds((f.support,), domain == _PHASE), data)[0]
+    return float(_Pairing((f,)).matrix((data,))[0, 0])
 
 
 def pair_configuration(f: TestFunction, gamma: Configuration) -> float:

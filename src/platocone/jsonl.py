@@ -52,6 +52,9 @@ KIND_MEASURE = "measure"
 _KINDS = (KIND_CONFIGURATION, KIND_PLATO, KIND_MEASURE)
 _JSON_WS = " \t\n\r"
 _raw_decode = json.JSONDecoder().raw_decode
+# the decoder recurses once per nesting level and raises RecursionError
+# past the interpreter's limit
+_TOO_DEEP = "values nested too deeply"
 
 
 def _dump_line(obj: dict) -> str:
@@ -77,6 +80,8 @@ def _parse_record(line: str, lineno: int, value_key: str, d: int):
         rec = json.loads(line)
     except ValueError as exc:  # JSONDecodeError, or an integer past int()'s digit limit
         raise JsonlFormatError(f"line {lineno}: invalid JSON ({getattr(exc, 'msg', exc)})") from exc
+    except RecursionError:
+        raise JsonlFormatError(f"line {lineno}: invalid JSON ({_TOO_DEEP})") from None
     if not isinstance(rec, dict) or set(rec) != {value_key, "x"}:
         raise JsonlFormatError(f"line {lineno}: expected keys {{{value_key!r}, 'x'}}")
     value, x = rec[value_key], rec["x"]
@@ -99,7 +104,7 @@ def _decode_records(lines: list, value_key: str, d: int):
     stripped = [line.strip(_JSON_WS) for line in lines]
     try:
         decoded = [_raw_decode(s) for s in stripped]
-    except ValueError:  # JSONDecodeError, or an integer past int()'s digit limit
+    except (ValueError, RecursionError):  # also too many digits or too deep a nesting
         return None
     if not all(end == len(s) for (_, end), s in zip(decoded, stripped)):
         return None
@@ -142,6 +147,8 @@ def parse(text: str):
         header = json.loads(lines[0])
     except ValueError as exc:
         raise JsonlFormatError(f"invalid JSON header ({getattr(exc, 'msg', exc)})") from exc
+    except RecursionError:
+        raise JsonlFormatError(f"invalid JSON header ({_TOO_DEEP})") from None
     if not isinstance(header, dict) or set(header) != {"d", "kind"}:
         raise JsonlFormatError("header must be exactly {\"d\": <int>, \"kind\": <kind>}")
     d = header["d"]

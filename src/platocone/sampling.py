@@ -96,7 +96,7 @@ class FiniteProduct:
     def __post_init__(self):
         r = float(self.spatial_rate)
         if not (math.isfinite(r) and r > 0.0):
-            raise InvalidArgument(f"spatial_rate must be a positive finite real, got {self.spatial_rate!r}")
+            raise InvalidArgument(f"spatial_rate must be a positive finite real, got {r!r}")
         object.__setattr__(self, "spatial_rate", r)
         fn = self.mark_density
         if fn.domain != "space" or fn.dimension != 1:
@@ -113,8 +113,8 @@ class FiniteProduct:
             raise NonIntegrableDensity("mark_density support must be bounded for numeric integration")
         lo, hi = fn.support.lower[0], fn.support.upper[0]
         grid = np.linspace(lo, hi, _MARK_GRID_NODES)
-        values = np.array([fn((s,)) for s in grid])
-        if not np.all(np.isfinite(values)) or np.any(values < 0.0):
+        values = fn.evaluate(None, grid[:, None])  # finite, or InvalidArgument
+        if np.any(values < 0.0):
             raise NonIntegrableDensity("mark_density must be finite and nonnegative on its support")
         step = (hi - lo) / (_MARK_GRID_NODES - 1)
         cdf = np.concatenate([[0.0], np.cumsum((values[1:] + values[:-1]) * (step / 2.0))])
@@ -508,5 +508,5 @@ def expected_truncation_error(theta: float, volume: float, epsilon: float) -> fl
 def _require_theta(theta) -> float:
     t = float(theta)
     if not (math.isfinite(t) and t > 0.0):
-        raise InvalidTheta(f"theta must be a positive finite real, got {theta!r}")
+        raise InvalidTheta(f"theta must be a positive finite real, got {t!r}")
     return t

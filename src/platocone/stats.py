@@ -145,8 +145,12 @@ def gamma_cdf(shape: float, scale: float, x: float) -> float:
         raise InvalidArgument(f"gamma_cdf requires x >= 0, got {x!r}")
     if x == 0.0:
         return 0.0
+    try:
+        log_gamma = math.lgamma(shape)
+    except OverflowError:
+        raise InvalidArgument(f"gamma_cdf shape {shape!r} is too large: ln Gamma(shape) overflows") from None
     t = x / scale
-    log_prefactor = -t + shape * math.log(t) - math.lgamma(shape)
+    log_prefactor = -t + shape * math.log(t) - log_gamma
     if t < shape + 1.0:
         # series: P(a, t) = t^a e^-t / Gamma(a) * sum_n t^n / (a (a+1) ... (a+n))
         ap = shape

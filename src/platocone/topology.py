@@ -32,12 +32,14 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Sequence
 
+import numpy as np
+
 from .configuration import (
     Configuration,
     TestFunction,
     Window,
-    _bounds,
-    _pairings,
+    _HatForm,
+    _Pairing,
     clean_position,
     make_configuration,
 )
@@ -48,6 +50,9 @@ from .plato import reflect_inverse
 # slack for the "non-increasing tail" check; absorbs last-bit wobble in
 # the max of absolute differences of finite sums
 _MONOTONE_SLACK = 1e-12
+# terms of a convergence scan held and paired at once, so that a long
+# scan runs in bounded memory
+_SCAN_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -99,23 +104,29 @@ class TestFamily:
         return len(self.functions)
 
     @cached_property
-    def _bounds(self):
-        return _bounds([fn.support for fn in self.functions])
+    def _kernel(self) -> _Pairing:
+        return _Pairing(self.functions)
 
     def pairings(self, gamma: Configuration) -> list:
         """The vector of pairings ``<f_i, gamma>``, one per member."""
-        if gamma.dimension != self.dimension:
-            raise DimensionMismatch(
-                f"family over dimension {self.dimension}, configuration over {gamma.dimension}"
-            )
-        return _pairings(self.functions, self._bounds, gamma)
+        return self._kernel.matrix((gamma,))[0].tolist()
 
-    def gap(self, p1: Sequence[float], p2: Sequence[float]) -> float:
-        """``max_i w_i * |p1_i - p2_i|`` of two pairing vectors, 0.0 at least."""
-        worst = 0.0
-        for w, a, b in zip(self.weights, p1, p2):
-            worst = max(worst, w * abs(a - b))
-        return worst
+    def gap(self, p1, p2):
+        """``max_i w_i * |p1_i - p2_i|`` of two pairing vectors, 0.0 at least.
+
+        Either argument may be a matrix with one pairing vector per row;
+        the result is then a list with one gap per row.
+        """
+        return self._worst(p1, p2)[0].tolist()
+
+    def _worst(self, p1, p2):
+        """The gaps along the last axis and the first member attaining each.
+
+        A NaN gap (two infinite pairings) counts as 0.0.
+        """
+        with np.errstate(invalid="ignore"):  # inf - inf
+            gaps = np.fmax(np.array(self.weights) * np.abs(np.subtract(p1, p2)), 0.0)
+        return gaps.max(axis=-1), gaps.argmax(axis=-1)
 
 
 def vague_discrepancy(gamma1: Configuration, gamma2: Configuration, family: TestFamily) -> float:
@@ -124,7 +135,8 @@ def vague_discrepancy(gamma1: Configuration, gamma2: Configuration, family: Test
         raise DimensionMismatch(
             f"configurations of dimensions {gamma1.dimension} and {gamma2.dimension}"
         )
-    return family.gap(family.pairings(gamma1), family.pairings(gamma2))
+    at_1, at_2 = family._kernel.matrix((gamma1, gamma2))
+    return family.gap(at_1, at_2)
 
 
 def cone_discrepancy(eta1: DiscreteMeasure, eta2: DiscreteMeasure, family: TestFamily) -> float:
@@ -187,13 +199,22 @@ class ConvergenceReport:
     and the sequence was non-increasing over its last quartile.  This is
     evidence consistent with vague convergence against the family used,
     not a certificate of topological convergence.
+
+    ``argmax`` gives, for each term, the index of the family member that
+    attains its discrepancy (the first one on ties), so a failed scan
+    names the test function that sees the divergence.
     """
 
     converged: bool
     discrepancies: tuple
+    argmax: tuple
 
     def as_dict(self) -> dict:
-        return {"converged": self.converged, "discrepancies": list(self.discrepancies)}
+        return {
+            "converged": self.converged,
+            "discrepancies": list(self.discrepancies),
+            "argmax": list(self.argmax),
+        }
 
 
 def check_convergence(
@@ -206,7 +227,8 @@ def check_convergence(
     """Scan ``vague_discrepancy(sequence(n), limit)`` for n = 1 .. n_max.
 
     ``sequence`` is a callable mapping the index n to a configuration.
-    The verdict requires the last discrepancy below ``tol`` and a
+    The terms are built and paired, with the limit, in one kernel call
+    per ``_SCAN_CHUNK`` terms.  The verdict requires the last discrepancy below ``tol`` and a
     non-increasing tail over the final quartile (with 1e-12 slack).
     """
     tol = float(tol)
@@ -214,22 +236,18 @@ def check_convergence(
         raise InvalidArgument(f"tol must be a positive real, got {tol!r}")
     if isinstance(n_max, bool) or not isinstance(n_max, int) or n_max < 1:
         raise InvalidArgument(f"n_max must be a positive integer, got {n_max!r}")
-    at_limit = family.pairings(limit)
-    discrepancies = [
-        family.gap(family.pairings(sequence(n)), at_limit) for n in range(1, n_max + 1)
-    ]
+    discrepancies, argmax = [], []
+    for first in range(1, n_max + 1, _SCAN_CHUNK):
+        terms = [sequence(n) for n in range(first, min(first + _SCAN_CHUNK, n_max + 1))]
+        table = family._kernel.matrix(terms + [limit])
+        worst, member = family._worst(table[:-1], table[-1])
+        discrepancies += worst.tolist()
+        argmax += member.tolist()
     tail_start = max(0, math.ceil(0.75 * n_max) - 1)
     tail = discrepancies[tail_start:]
     non_increasing = all(b <= a + _MONOTONE_SLACK for a, b in zip(tail, tail[1:]))
     converged = discrepancies[-1] < tol and non_increasing
-    return ConvergenceReport(converged=converged, discrepancies=tuple(discrepancies))
-
-
-def _cubic_hat(t: float) -> float:
-    # C1 bump: 1 at t=0, 0 at t>=1, maximal slope 1.5 at t=1/2
-    if t >= 1.0:
-        return 0.0
-    return 1.0 - 3.0 * t * t + 2.0 * t * t * t
+    return ConvergenceReport(converged=converged, discrepancies=tuple(discrepancies), argmax=tuple(argmax))
 
 
 def hat_function(
@@ -260,26 +278,19 @@ def hat_function(
         raise InvalidArgument("one positive finite half width per coordinate required")
     lower = tuple(c - w for c, w in zip(center, widths))
     upper = tuple(c + w for c, w in zip(center, widths))
-
-    def spatial_factors(v, x):
-        # multiply v by one hat factor per axis, stopping at the first zero
-        for xi, ci, wi in zip(x, center, widths):
-            if v == 0.0:
-                return 0.0
-            v *= _cubic_hat(abs(xi - ci) / wi)
-        return v
+    spatial = tuple((i, c, w) for i, (c, w) in enumerate(zip(center, widths)))
 
     if mark_center is None:
-        ev_space = lambda x: spatial_factors(1.0, x)
-        return TestFunction(ev_space, Window(lower, upper), 1.5 / min(widths), "space")
+        support = Window(lower, upper)
+        return TestFunction._of_form(_HatForm(spatial, support), support, 1.5 / min(widths), "space")
 
     mc = float(mark_center)
     mw = float(mark_half_width if mark_half_width is not None else min(widths))
     if not (math.isfinite(mc) and mc > 0.0 and math.isfinite(mw) and mw > 0.0):
         raise InvalidArgument("mark hat requires positive finite center and half width")
     support = Window(lower, upper, mark_interval=(max(0.0, mc - mw), mc + mw))
-    ev_phase = lambda s, x: spatial_factors(_cubic_hat(abs(s - mc) / mw), x)
-    return TestFunction(ev_phase, support, 1.5 / min(widths + (mw,)), "phase")
+    form = _HatForm(((-1, mc, mw),) + spatial, support)
+    return TestFunction._of_form(form, support, 1.5 / min(widths + (mw,)), "phase")
 
 
 def hat_family(

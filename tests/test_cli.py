@@ -291,6 +291,51 @@ def test_non_utf8_input_exits_3(tmp_path, capsys):
     assert "not UTF-8 text" in capsys.readouterr().err
 
 
+def test_deeply_nested_input_exits_3(tmp_path, capsys):
+    deep = "[" * 100_000 + "]" * 100_000
+    for i, text in enumerate([
+        '{"d":1,"kind":"measure"}\n{"w":' + deep + ',"x":[0.5]}\n',
+        '{"d":' + deep + ',"kind":"measure"}\n',
+    ]):
+        src = tmp_path / f"deep{i}.jsonl"
+        src.write_text(text)
+        assert run(["reflect", "--in", str(src), "--out", str(tmp_path / "o")]) == 3
+        assert "nested too deeply" in capsys.readouterr().err
+
+
+def test_converge_rejects_non_numeric_x0(capsys):
+    assert run(["converge", "--x0", "abc"]) == 2
+    assert "--x0" in capsys.readouterr().err
+    assert run(["converge", "--x0", "0.5,nan"]) == 2
+
+
+def test_stats_overflowing_gamma_shape_exits_2(tmp_path, capsys):
+    assert run(["sample", "gamma", "--theta", "1", "--epsilon", "0.1", "--window", "0,1",
+                "--seed", "3", "--out", str(tmp_path)]) == 0
+    sample = str(tmp_path / "gamma_seed3.jsonl")
+    stats = ["stats", "--in", sample, "--window", "0,1", "--epsilon"]
+    # ln Gamma(1e308) overflows
+    assert run([*stats, "0.1", "--theta", "1e308"]) == 2
+    assert "too large" in capsys.readouterr().err
+    # ln Gamma(2.5e305) is finite, the expected count 2.5e305 * E1(5e-324) is not
+    assert run([*stats, "5e-324", "--theta", "2.5e305"]) == 2
+    assert "overflows" in capsys.readouterr().err
+
+
+def test_error_messages_show_plain_floats(capsys):
+    assert run(["converge", "--s1", "-1"]) == 2
+    err = capsys.readouterr().err
+    assert "-1.0 is not a positive finite real" in err and "np." not in err
+
+
+def test_converge_names_the_member_at_each_maximum(capsys):
+    assert run(["converge", "--n-max", "50"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert list(report) == ["converged", "discrepancies", "argmax", "limit_pinpointing"]
+    assert len(report["argmax"]) == 50
+    assert all(type(j) is int and 0 <= j < 3 for j in report["argmax"])
+
+
 def _run_in_own_process(argv, env_seed=None):
     """Run the CLI in a fresh interpreter; returns its exit code and stdout."""
     env = dict(os.environ)

@@ -232,3 +232,22 @@ def test_linear_combination_sums_sequentially():
     combo = linear_combination([(1e16, one), (1.0, one), (-1e16, one)])
     assert combo(1.0, (0.5,)) == 0.0
     assert combo.lipschitz is None
+
+
+def test_messages_show_plain_floats():
+    from platocone import FiniteProduct, InvalidArgument, InvalidTheta, MarkedPoint, NonPositiveMark, sample_gamma
+
+    density = TestFunction(lambda x: 1.0, Window((0.0,), (1.0,)), None, "space")
+    cases = [
+        (NonPositiveMark, lambda: make_configuration([(np.float64(-1.0), [0.5])], 1), "-1.0 is not"),
+        (NonPositiveMark, lambda: MarkedPoint(np.float64(-2.0), (0.0,)), "got -2.0"),
+        (InvalidArgument, lambda: make_configuration([(1.0, [np.float64("nan")])], 1), "finite"),
+        (InvalidArgument, lambda: MarkedPoint(1.0, (np.float64("inf"),)), "got inf"),
+        (InvalidTheta, lambda: sample_gamma(np.float64(-3.0), Window((0.0,), (1.0,)), 0.1, 0), "got -3.0"),
+        (InvalidArgument, lambda: FiniteProduct(density, np.float64(0.0)), "got 0.0"),
+    ]
+    for error, call, text in cases:
+        with pytest.raises(error, match=text) as info:
+            call()
+        assert "np." not in str(info.value)
+

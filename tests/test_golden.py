@@ -23,8 +23,8 @@ from platocone.cli import main
 
 # file name -> sha256 of its bytes
 GOLDEN = {
-    "converge.json": "127f14e024ce5139fcb93b42235f075b3c6eb2c3437bcb2665835401cf481c4f",
-    "converge_2d.json": "cf53aa0f1f968a012983ce052e647ef35cb66f38d72ae7915559bcacb0925872",
+    "converge.json": "edd762815919d2686e27b31e678d10b2a14a6322b4170d9a3fbd9ddd39fabf30",
+    "converge_2d.json": "951ff914d88ea1ea5c233c8fe44d7aadf9efe5926411e9afc2aa6516906da18c",
     "gamma_back.jsonl": "8506222d20885c98689fd6afc1d589f990eccd1b4cbfdfb7cf9984930b2c24b7",
     "gamma_kept.jsonl": "361bf650c70b7a499e38bea019cdef75745c950b5cfbc571d4187d602f3eecce",
     "gamma_plato.jsonl": "5d190a295e4f740bfdd5bb97a487d966cd7d057251abbdb0d0c0b1d814ee5dc1",

@@ -161,6 +161,15 @@ def test_integer_beyond_double_range_is_rejected_with_its_line():
         jsonl.parse(f'{{"d":1{"0" * 5000},"kind":"measure"}}\n')
 
 
+def test_deeply_nested_value_is_a_format_error():
+    deep = "[" * 100_000 + "]" * 100_000
+    header = '{"d":1,"kind":"measure"}\n'
+    with pytest.raises(JsonlFormatError, match=r"line 3: invalid JSON \(values nested too deeply\)"):
+        jsonl.parse(header + '{"w":0.5,"x":[0.1]}\n{"w":' + deep + ',"x":[0.5]}\n')
+    with pytest.raises(JsonlFormatError, match=r"invalid JSON header \(values nested too deeply\)"):
+        jsonl.parse('{"d":' + deep + ',"kind":"measure"}\n')
+
+
 def test_non_utf8_file_is_a_format_error(tmp_path):
     path = tmp_path / "latin.jsonl"
     path.write_bytes(b'\xff\xfe{"d":1}\n')

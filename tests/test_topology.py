@@ -190,7 +190,7 @@ def test_report_serialization_shape():
     gamma = make_configuration([(1.0, [0.2])], 1)
     report = check_convergence(lambda n: gamma, gamma, FAMILY, 0.01, 3)
     payload = report.as_dict()
-    assert payload == {"converged": True, "discrepancies": [0.0, 0.0, 0.0]}
+    assert payload == {"converged": True, "discrepancies": [0.0, 0.0, 0.0], "argmax": [0, 0, 0]}
 
 
 def test_hat_function_exact_lipschitz_declaration():
