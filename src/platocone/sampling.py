@@ -37,7 +37,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -402,6 +402,12 @@ def _invert_mark_cdf(u: np.ndarray, grid: np.ndarray, cdf: np.ndarray, mass: flo
     return s
 
 
+@lru_cache(maxsize=16)
+def _e1_at(epsilon: float) -> float:
+    """``exp_integral_e1(epsilon)``, computed once per truncation level."""
+    return exp_integral_e1(epsilon)
+
+
 def sample_gamma(theta: float, lam: Window, epsilon: float, seed: int):
     """Draw a Gamma random measure, keeping atoms with mark above ``epsilon``.
 
@@ -423,7 +429,7 @@ def sample_gamma(theta: float, lam: Window, epsilon: float, seed: int):
     seed = _require_seed(seed)
     vol = _require_sampling_window(lam)
 
-    e1_eps = exp_integral_e1(epsilon)
+    e1_eps = _e1_at(epsilon)
     mean = _require_count(theta * vol * e1_eps, "mean atom count")
     n = _poisson_draw(substream(seed, _STREAM_COUNT), mean)
     u = _uniforms_open(substream(seed, _STREAM_MARKS), n)

@@ -44,7 +44,7 @@ from .configuration import (
     make_configuration,
 )
 from .cone import DiscreteMeasure
-from .errors import DimensionMismatch, EqualMarks, InvalidArgument
+from .errors import DimensionMismatch, EqualMarks, InvalidArgument, NonPositiveMark
 from .plato import reflect_inverse
 
 # slack for the "non-increasing tail" check; absorbs last-bit wobble in
@@ -112,20 +112,25 @@ class TestFamily:
         return self._kernel.matrix((gamma,))[0].tolist()
 
     def gap(self, p1, p2):
-        """``max_i w_i * |p1_i - p2_i|`` of two pairing vectors, 0.0 at least.
+        """``max_i w_i * |p1_i - p2_i|`` of two pairing vectors.
 
         Either argument may be a matrix with one pairing vector per row;
-        the result is then a list with one gap per row.
+        the result is then a list with one gap per row.  Raises
+        :class:`InvalidArgument` if a pairing is not finite.
         """
         return self._worst(p1, p2)[0].tolist()
 
     def _worst(self, p1, p2):
         """The gaps along the last axis and the first member attaining each.
 
-        A NaN gap (two infinite pairings) counts as 0.0.
+        A non-finite pairing (an overflowed sum) has no gap: it raises
+        :class:`InvalidArgument` naming its member.
         """
-        with np.errstate(invalid="ignore"):  # inf - inf
-            gaps = np.fmax(np.array(self.weights) * np.abs(np.subtract(p1, p2)), 0.0)
+        finite = np.isfinite(p1) & np.isfinite(p2)
+        if not finite.all():
+            i = int(np.argwhere(~finite)[0][-1])
+            raise InvalidArgument(f"family member {i} has a non-finite pairing")
+        gaps = np.array(self.weights) * np.abs(np.subtract(p1, p2))
         return gaps.max(axis=-1), gaps.argmax(axis=-1)
 
 
@@ -150,6 +155,13 @@ def cone_discrepancy(eta1: DiscreteMeasure, eta2: DiscreteMeasure, family: TestF
     return vague_discrepancy(reflect_inverse(eta1), reflect_inverse(eta2), family)
 
 
+def _collision_position(x0) -> tuple:
+    x0 = clean_position(x0)
+    if not x0:
+        raise InvalidArgument("x0 needs at least one coordinate")
+    return x0
+
+
 def merging_sequence(x0: Sequence[float], s1: float, s2: float, n: int) -> Configuration:
     """Term n of the two-point sequence collapsing onto a shared position.
 
@@ -163,6 +175,8 @@ def merging_sequence(x0: Sequence[float], s1: float, s2: float, n: int) -> Confi
     EqualMarks
         If ``s1 == s2``; the limit would then be a doubled point, which is
         a different degeneracy from the two-mark collision built here.
+    NonPositiveMark, InvalidArgument
+        For a bad mark, or a bad ``n`` or ``x0``.
     """
     s1 = float(s1)
     s2 = float(s2)
@@ -170,11 +184,18 @@ def merging_sequence(x0: Sequence[float], s1: float, s2: float, n: int) -> Confi
         raise EqualMarks(f"marks must differ, got s1 == s2 == {s1}")
     if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise InvalidArgument(f"n must be a positive integer, got {n!r}")
-    x0 = clean_position(x0)
+    x0 = _collision_position(x0)
+    for s in (s1, s2):
+        if not 0.0 < s < math.inf:
+            raise NonPositiveMark(f"{s!r} is not a positive finite real")
+    # canonical order, unsorted: left precedes right unless 1/n is below half
+    # an ulp of x0[0], when equal rows put the smaller mark first; 1/n > 0,
+    # so no sum is -0.0
     offset = 1.0 / n
-    right = (x0[0] + offset,) + x0[1:]
-    left = (x0[0] - offset,) + x0[1:]
-    return make_configuration([(s1, right), (s2, left)], len(x0))
+    left, right = x0[0] - offset, x0[0] + offset
+    marks = [s2, s1] if left < right or s2 < s1 else [s1, s2]
+    positions = np.array([(left,) + x0[1:], (right,) + x0[1:]])
+    return Configuration._wrap(np.array(marks), positions)
 
 
 def merging_limit(x0: Sequence[float], s1: float, s2: float) -> Configuration:
@@ -187,7 +208,7 @@ def merging_limit(x0: Sequence[float], s1: float, s2: float) -> Configuration:
     s2 = float(s2)
     if s1 == s2:
         raise EqualMarks(f"marks must differ, got s1 == s2 == {s1}")
-    x0 = clean_position(x0)
+    x0 = _collision_position(x0)
     return make_configuration([(s1, x0), (s2, x0)], len(x0))
 
 
@@ -346,7 +367,7 @@ def merging_family(x0: Sequence[float], s1: float, s2: float) -> TestFamily:
     exactly 1 for the l1 distance, so the discrepancy of term n of the
     merging sequence to its limit is bounded by 2/n.
     """
-    x0 = clean_position(x0)
+    x0 = _collision_position(x0)
     s1 = float(s1)
     s2 = float(s2)
     mark_center = 0.5 * (s1 + s2)

@@ -336,6 +336,27 @@ def test_converge_names_the_member_at_each_maximum(capsys):
     assert all(type(j) is int and 0 <= j < 3 for j in report["argmax"])
 
 
+def test_default_converge_builds_each_term_through_merging_sequence(tmp_path, monkeypatch):
+    """The default scan calls ``platocone.cli.merging_sequence`` once per
+    term, n = 1 .. n_max, so a wrapper there sees every term."""
+    from platocone import cli
+
+    assert run(["converge", "--out", str(tmp_path / "plain.json")]) == 0
+    real, calls = cli.merging_sequence, []
+
+    def counted(x0, s1, s2, n):
+        calls.append(n)
+        return real(x0, s1, s2, n)
+
+    monkeypatch.setattr(cli, "merging_sequence", counted)
+    assert run(["converge", "--out", str(tmp_path / "counted.json")]) == 0
+    assert calls == list(range(1, 1001))
+    assert (tmp_path / "counted.json").read_bytes() == (tmp_path / "plain.json").read_bytes()
+    calls.clear()
+    assert run(["converge", "--n-max", "7", "--out", str(tmp_path / "seven.json")]) == 0
+    assert calls == list(range(1, 8))
+
+
 def _run_in_own_process(argv, env_seed=None):
     """Run the CLI in a fresh interpreter; returns its exit code and stdout."""
     env = dict(os.environ)

@@ -327,3 +327,28 @@ def test_mean_count_above_the_cap_is_rejected():
         sample_poisson(FiniteProduct(exp_mark_density(), spatial_rate=2e7), UNIT, 0)
     with pytest.raises(InvalidArgument, match="n_jumps 10000001 exceeds"):
         sample_gamma_ordered(1.0, UNIT, 10**7 + 1, 0)
+
+
+def test_e1_of_epsilon_is_computed_once_and_marks_keep_their_bits(monkeypatch):
+    from platocone import sampling
+
+    calls = []
+
+    def counted(s):
+        calls.append(s)
+        return exp_integral_e1(s)
+
+    eps = 0.123456789
+    expected = [sample_gamma(1.0, UNIT, eps, seed)[0] for seed in range(3)]
+    sampling._e1_at.cache_clear()
+    monkeypatch.setattr(sampling, "exp_integral_e1", counted)
+    got = [sample_gamma(1.0, UNIT, eps, seed)[0] for seed in range(3)]
+    assert calls == [eps]
+    assert all(a.marks.tobytes() == b.marks.tobytes() for a, b in zip(expected, got))
+    assert all(a.positions.tobytes() == b.positions.tobytes() for a, b in zip(expected, got))
+    # an exception is never cached: an invalid epsilon raises on every call
+    for _ in range(3):
+        for bad in (0.0, -1.0, 1.0, math.nan, math.inf):
+            with pytest.raises(InvalidEpsilon):
+                sample_gamma(1.0, UNIT, bad, 0)
+    assert calls == [eps]

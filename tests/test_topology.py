@@ -1,13 +1,19 @@
 """Discrepancies, the merging-sequence witness and convergence scans."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_configuration, random_plato
 
 from platocone import (
     EqualMarks,
     InvalidArgument,
+    NonPositiveMark,
+    PlatoconeError,
     TestFamily,
     TestFunction,
     Window,
@@ -26,6 +32,7 @@ from platocone import (
     reflect,
     vague_discrepancy,
 )
+from platocone.configuration import clean_position
 
 X0 = (0.0,)
 FAMILY = merging_family(X0, 1.0, 2.0)
@@ -126,6 +133,85 @@ def test_merging_sequence_equal_marks_rejected():
         merging_sequence(X0, 1.0, 1.0, 5)
     with pytest.raises(EqualMarks):
         merging_limit(X0, 2.0, 2.0)
+
+
+_SETTINGS = settings(max_examples=300, deadline=None, database=None, derandomize=True)
+_COORDS = st.one_of(
+    # -0.0, subnormals, and +-2**60 where 1/n is below half an ulp for every n
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, 1.0, -0.5, 2.0**60, -(2.0**60)]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+_MARKS = st.one_of(
+    st.sampled_from([0.0, -1.0, math.nan, math.inf, 1.0, 2.0, 5e-324]),
+    st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+)
+
+
+def _merging_by_sorting(x0, s1, s2, n):
+    """Term n built the general way, through ``make_configuration``'s sort."""
+    x0 = clean_position(x0)
+    right = (x0[0] + 1.0 / n,) + x0[1:]
+    left = (x0[0] - 1.0 / n,) + x0[1:]
+    return make_configuration([(s1, right), (s2, left)], len(x0))
+
+
+def _outcome(build, *args):
+    try:
+        gamma = build(*args)
+    except PlatoconeError as exc:
+        return type(exc)
+    return gamma.marks.tobytes(), gamma.positions.shape, gamma.positions.tobytes()
+
+
+@_SETTINGS
+@given(
+    d=st.integers(1, 3),
+    data=st.data(),
+    marks=st.tuples(_MARKS, _MARKS).filter(lambda m: m[0] != m[1]),
+    n=st.one_of(st.integers(1, 1000), st.integers(1, 2**62), st.sampled_from([2**53, 2**62])),
+)
+def test_merging_sequence_equals_the_sorted_construction_bitwise(d, data, marks, n):
+    x0 = tuple(data.draw(_COORDS) for _ in range(d))
+    for s1, s2 in (marks, marks[::-1]):
+        new = _outcome(merging_sequence, x0, s1, s2, n)
+        assert new == _outcome(_merging_by_sorting, x0, s1, s2, n)
+        assert new is NonPositiveMark or isinstance(new, tuple)
+
+
+@pytest.mark.parametrize("x0, n", [((2.0**60,), 3), ((-(2.0**60), 1.0), 1), ((1.0,), 2**62)])
+def test_merging_sequence_orders_coinciding_rows_by_mark(x0, n):
+    for s1, s2 in ((2.0, 1.0), (1.0, 2.0)):
+        gamma = merging_sequence(x0, s1, s2, n)
+        assert gamma.marks.tolist() == [1.0, 2.0]
+        assert gamma.positions.tolist() == [list(x0), list(x0)]
+        assert gamma == make_configuration([(s1, x0), (s2, x0)], len(x0))
+
+
+def test_empty_x0_is_an_invalid_argument():
+    with pytest.raises(InvalidArgument, match="x0"):
+        merging_sequence((), 1.0, 2.0, 3)
+    with pytest.raises(InvalidArgument, match="x0"):
+        merging_family((), 1.0, 2.0)
+    with pytest.raises(InvalidArgument, match="x0"):
+        merging_limit((), 1.0, 2.0)
+
+
+def test_overflowing_pairing_raises_naming_the_member():
+    # valued 1e308 on [0, 1): every configuration with two points there pairs to +inf
+    huge = TestFunction(lambda s, x: 1e308, Window((0.0,), (1.0,), mark_interval=(0.0, 10.0)), 0.0)
+    two = make_configuration([(1.0, [0.1]), (2.0, [0.2])], 1)
+    four = make_configuration([(1.0, [0.1]), (2.0, [0.2]), (3.0, [0.3]), (4.0, [0.4])], 1)
+    with pytest.raises(InvalidArgument, match="family member 0 has a non-finite pairing"):
+        vague_discrepancy(two, four, TestFamily((huge,)))
+    family = TestFamily((hat_function((0.0,), 1.0, mark_center=1.0, mark_half_width=1.0), huge))
+    with pytest.raises(InvalidArgument, match="family member 1 "):
+        vague_discrepancy(two, four, family)
+    with pytest.raises(InvalidArgument, match="family member 1 "):
+        family.gap(family.pairings(two), family.pairings(four))
+    with pytest.raises(InvalidArgument, match="family member 1 "):
+        check_convergence(lambda n: four, two, family, 0.1, 3)
+    one = make_configuration([(1.0, [0.1])], 1)
+    assert vague_discrepancy(one, one, family) == 0.0
 
 
 def test_merging_discrepancy_bound():
