@@ -25,7 +25,7 @@ from . import jsonl
 from .configuration import TestFunction, Window, count_in_window, indicator, pair_configuration, restrict
 from .cone import DiscreteMeasure, double_pair, mass_in_window
 from .errors import JsonlFormatError, PlatoconeError
-from .plato import PlatoConfiguration, is_pinpointing, reflect, reflect_inverse, to_plato
+from .plato import is_pinpointing, reflect, reflect_inverse, to_plato
 from .sampling import FiniteProduct, sample_gamma, sample_gamma_ordered, sample_poisson
 from .stats import EmpiricalSample, exp_integral_e1, gamma_cdf, ks_statistic
 from .topology import (
@@ -165,7 +165,7 @@ def _cmd_reflect(args) -> int:
     if isinstance(obj, DiscreteMeasure):
         result = reflect_inverse(obj)
     else:
-        result = reflect(obj if isinstance(obj, PlatoConfiguration) else to_plato(obj))
+        result = reflect(to_plato(obj))
     _write_text(Path(args.out), jsonl.serialize(result))
     return 0
 

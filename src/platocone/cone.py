@@ -11,7 +11,8 @@ read-only ``marks`` (here the weights) and ``positions`` arrays, sorted by
 position.  Window mass and both pairings are the configuration kernels
 run on those arrays, so iteration order, summation order and
 serialization are reproducible, and ``(position, weight)`` atom tuples
-are built only when ``atoms`` is read.
+are built only when ``atoms`` is read.  Subordination is one canonical
+configuration build of the atoms of both measures.
 
 Although every discrete measure is also a Radon measure, no vague-topology
 distance is exposed here: the only discrepancies defined on measures live
@@ -26,7 +27,9 @@ from typing import Iterable
 
 import numpy as np
 
-from .configuration import TestFunction, Window, _mass, _pair, _PointArrays, _rows, _total, clean_position
+from .configuration import (
+    Configuration, TestFunction, Window, _mass, _pair, _PointArrays, _rows, _total, clean_position
+)
 from .errors import DimensionMismatch, InvalidArgument, NonPositiveWeight
 
 
@@ -110,13 +113,14 @@ def is_sub_measure(xi: DiscreteMeasure, eta: DiscreteMeasure) -> bool:
     bitwise-equal weight.
 
     This is a partial order on discrete measures (reflexive, antisymmetric,
-    transitive).
+    transitive).  The canonical build of both atom sets drops exact
+    repeats, so it has ``len(eta)`` rows iff ``xi`` adds none.
     """
     if xi.dimension != eta.dimension:
-        raise DimensionMismatch(
-            f"measures of dimensions {xi.dimension} and {eta.dimension}"
-        )
-    return all(weight_at(eta, pos) == w for pos, w in xi.atoms)
+        raise DimensionMismatch(f"measures of dimensions {xi.dimension} and {eta.dimension}")
+    marks = np.concatenate((eta.marks, xi.marks))
+    positions = np.concatenate((eta.positions, xi.positions))
+    return len(Configuration._canonical(marks, positions)) == len(eta)
 
 
 def pair_measure(f: TestFunction, eta: DiscreteMeasure) -> float:

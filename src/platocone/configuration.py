@@ -467,6 +467,10 @@ class _PointArrays:
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
+    def __reduce__(self):
+        # pickle and copy rebuild through _wrap: __setattr__ is blocked
+        return type(self)._wrap, (self.marks, self.positions)
+
     @property
     def dimension(self) -> int:
         return self.positions.shape[1]

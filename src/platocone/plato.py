@@ -24,47 +24,31 @@ many atoms account for the discarded tail separately
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .configuration import Configuration, Window, _first_unordered, _mass
 from .cone import DiscreteMeasure
 from .errors import NotPinpointing
 
 
-@dataclass(frozen=True)
-class PlatoConfiguration:
+class PlatoConfiguration(Configuration):
     """A configuration whose points all sit at distinct positions.
 
-    Wraps a :class:`Configuration` and re-validates the pinpointing
-    invariant on construction, so an instance in hand is always a valid
-    preimage of a discrete measure.  ``marks`` and ``positions`` are the
-    wrapped configuration's arrays, so every window kernel accepts it.
+    The constructor checks the pinpointing invariant and adopts the given
+    configuration's arrays, so an instance in hand is always a valid
+    preimage of a discrete measure.
     """
 
-    configuration: Configuration
+    __slots__ = ()
 
-    def __post_init__(self):
-        gamma = self.configuration
-        i = _first_unordered(gamma.marks, gamma.positions, with_mark=False)
+    def __init__(self, configuration: Configuration):
+        i = _first_unordered(configuration.marks, configuration.positions, with_mark=False)
         if i is not None:
-            raise NotPinpointing(gamma.positions[i].tolist())
+            raise NotPinpointing(configuration.positions[i].tolist())
+        self._adopt(configuration.marks, configuration.positions)
 
-    @classmethod
-    def _wrap(cls, marks, positions) -> "PlatoConfiguration":
-        """Adopt canonical, pinpointing arrays without copying or re-validating."""
-        obj = object.__new__(cls)
-        object.__setattr__(obj, "configuration", Configuration._wrap(marks, positions))
-        return obj
-
-    marks = property(lambda self: self.configuration.marks)
-    positions = property(lambda self: self.configuration.positions)
-    dimension = property(lambda self: self.configuration.dimension)
-
-    def __len__(self) -> int:
-        return len(self.configuration)
-
-    def __iter__(self):
-        return iter(self.configuration)
+    @property
+    def configuration(self) -> Configuration:
+        """The same arrays as a plain :class:`Configuration`."""
+        return Configuration._wrap(self.marks, self.positions)
 
 
 def is_pinpointing(gamma: Configuration) -> bool:
@@ -76,18 +60,18 @@ def is_pinpointing(gamma: Configuration) -> bool:
     return _first_unordered(gamma.marks, gamma.positions, with_mark=False) is None
 
 
-def local_mass(gamma, lam: Window) -> float:
+def local_mass(gamma: Configuration, lam: Window) -> float:
     """Sum of marks of the points whose position lies in the window.
 
-    Accepts a :class:`Configuration` or a :class:`PlatoConfiguration`.
-    This is the window-mass kernel of :func:`~platocone.cone.mass_in_window`
-    run on the configuration's arrays, so the two agree bitwise.
+    Any configuration is accepted.  This is the window-mass kernel of
+    :func:`~platocone.cone.mass_in_window` run on the configuration's
+    arrays, so the two agree bitwise.
     """
     return _mass(gamma, lam)
 
 
 def to_plato(gamma: Configuration) -> PlatoConfiguration:
-    """Wrap a configuration after checking the pinpointing property.
+    """Adopt a configuration's arrays after checking the pinpointing property.
 
     Finite local mass holds automatically for finite data, so this is the
     complete membership test.  On failure the error names the first

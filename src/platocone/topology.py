@@ -191,7 +191,10 @@ def merging_sequence(x0: Sequence[float], s1: float, s2: float, n: int) -> Confi
     # canonical order, unsorted: left precedes right unless 1/n is below half
     # an ulp of x0[0], when equal rows put the smaller mark first; 1/n > 0,
     # so no sum is -0.0
-    offset = 1.0 / n
+    try:
+        offset = 1.0 / n
+    except OverflowError:
+        raise InvalidArgument("n is too large for a double") from None
     left, right = x0[0] - offset, x0[0] + offset
     marks = [s2, s1] if left < right or s2 < s1 else [s1, s2]
     positions = np.array([(left,) + x0[1:], (right,) + x0[1:]])

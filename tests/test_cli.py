@@ -8,6 +8,8 @@ import sys
 import time
 from pathlib import Path
 
+import pytest
+
 import platocone
 from platocone import Window, make_configuration, sample_gamma
 from platocone import jsonl
@@ -129,6 +131,18 @@ def test_reflect_rejects_non_pinpointing_input(tmp_path, capsys):
     code = run(["reflect", "--in", str(bad), "--out", str(tmp_path / "out.jsonl")])
     assert code == 2
     assert "0.25" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "kind, args", [("gamma", ["--epsilon", "1e-8"]), ("gamma-ordered", ["--n-jumps", "5"])]
+)
+def test_sample_with_colliding_positions_is_a_usage_error(tmp_path, capsys, kind, args):
+    out = tmp_path / "runs"
+    argv = ["sample", kind, "--window", "1,1.0000000000000002", "--theta", "1e16", *args, "--out", str(out)]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "duplicate position [1.0]" in err
+    assert list(out.iterdir()) == []
 
 
 def test_missing_input_is_io_failure(tmp_path):

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_measure, random_window
 
@@ -178,3 +180,41 @@ def test_dimension_checks():
         mass_in_window(eta, Window((0.0,), (1.0,)))
     with pytest.raises(DimensionMismatch):
         is_sub_measure(eta, make_measure([], 1))
+
+
+def _sub_measure_by_atoms(xi, eta):
+    """The per-atom subordination loop, kept as the reference."""
+    if xi.dimension != eta.dimension:
+        raise DimensionMismatch(
+            f"measures of dimensions {xi.dimension} and {eta.dimension}"
+        )
+    return all(weight_at(eta, pos) == w for pos, w in xi.atoms)
+
+
+def _verdict(test, xi, eta):
+    try:
+        return test(xi, eta)
+    except DimensionMismatch:
+        return DimensionMismatch
+
+
+# few values, so that positions and weights coincide often
+_COORD = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, 1.0, -1.0, math.nextafter(1.0, 2.0)])
+_WEIGHT = st.sampled_from([1.0, math.nextafter(1.0, 0.0), math.nextafter(1.0, 2.0), 2.0, 5e-324, 1e300])
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(d=st.integers(1, 3), data=st.data())
+def test_sub_measure_matches_the_per_atom_loop(d, data):
+    atom = lambda k: st.tuples(_WEIGHT, st.lists(_COORD, min_size=k, max_size=k))
+    eta = make_measure(data.draw(st.lists(atom(d), max_size=8)), d)
+    # keep, drop or re-weight atoms of eta, then add atoms anywhere
+    d_xi = data.draw(st.sampled_from([d, d, d, d % 3 + 1]))
+    kept = [
+        (data.draw(st.sampled_from([w, w, math.nextafter(w, math.inf), 2.0])), pos)
+        for pos, w in eta.atoms
+        if d_xi == d and data.draw(st.booleans())
+    ]
+    xi = make_measure(kept + data.draw(st.lists(atom(d_xi), max_size=3)), d_xi)
+    assert _verdict(is_sub_measure, xi, eta) == _verdict(_sub_measure_by_atoms, xi, eta)
+    assert _verdict(is_sub_measure, eta, eta) is True

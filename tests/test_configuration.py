@@ -1,5 +1,8 @@
 """Configurations: construction, counting, restriction, ordering, pairing."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
@@ -19,7 +22,9 @@ from platocone import (
     make_configuration,
     n_point_class,
     pair_configuration,
+    reflect,
     restrict,
+    to_plato,
 )
 from platocone.topology import hat_function
 
@@ -251,3 +256,11 @@ def test_messages_show_plain_floats():
             call()
         assert "np." not in str(info.value)
 
+
+def test_stores_pickle_and_copy_to_equal_read_only_stores():
+    gamma = random_configuration(np.random.default_rng(130), 2, 20)
+    plato = to_plato(gamma)
+    for obj in (gamma, plato, reflect(plato)):
+        for twin in (pickle.loads(pickle.dumps(obj)), copy.copy(obj), copy.deepcopy(obj)):
+            assert type(twin) is type(obj) and twin == obj
+            assert not twin.marks.flags.writeable and not twin.positions.flags.writeable

@@ -25,7 +25,7 @@ from platocone import (
     to_plato,
     weight_at,
 )
-from platocone.configuration import Configuration
+from platocone.configuration import Configuration, restrict
 from platocone.topology import hat_function
 
 
@@ -128,6 +128,16 @@ def test_plato_wrapper_validates_on_construction():
     collision = make_configuration([(1.0, [0.0]), (2.0, [0.0])], 1)
     with pytest.raises(NotPinpointing):
         PlatoConfiguration(collision)
+
+
+def test_plato_configuration_is_a_configuration_on_the_same_arrays():
+    gamma = random_plato(np.random.default_rng(305), 2, 30).configuration
+    plato = PlatoConfiguration(gamma)
+    assert isinstance(plato, Configuration) and plato.points == gamma.points
+    assert type(plato.configuration) is Configuration and plato.configuration == gamma
+    assert np.shares_memory(plato.configuration.marks, gamma.marks)
+    assert np.shares_memory(plato.configuration.positions, gamma.positions)
+    assert type(restrict(plato, Window((-1.0, -1.0), (2.0, 2.0)))) is PlatoConfiguration
 
 
 def test_local_mass_many_small_atoms_matches_measure_mass():

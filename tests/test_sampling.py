@@ -12,6 +12,7 @@ from platocone import (
     InvalidEpsilon,
     InvalidTheta,
     NonIntegrableDensity,
+    NotPinpointing,
     TestFunction,
     UnboundedWindow,
     Window,
@@ -352,3 +353,17 @@ def test_e1_of_epsilon_is_computed_once_and_marks_keep_their_bits(monkeypatch):
             with pytest.raises(InvalidEpsilon):
                 sample_gamma(1.0, UNIT, bad, 0)
     assert calls == [eps]
+
+
+# one double wide: every uniform position in it rounds to 1.0
+ONE_ULP = Window((1.0,), (1.0000000000000002,))
+
+
+def test_gamma_samplers_reject_positions_that_collide():
+    # distinct marks at one position keep every point through the canonical
+    # build, so the pinpointing check, not the collision count, rejects them
+    draws = [lambda: sample_gamma(1e16, ONE_ULP, 1e-8, 0), lambda: sample_gamma_ordered(1e16, ONE_ULP, 5, 0)]
+    for draw in draws:
+        with pytest.raises(NotPinpointing) as err:
+            draw()
+        assert err.value.position == (1.0,)

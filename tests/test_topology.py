@@ -187,6 +187,13 @@ def test_merging_sequence_orders_coinciding_rows_by_mark(x0, n):
         assert gamma == make_configuration([(s1, x0), (s2, x0)], len(x0))
 
 
+def test_merging_sequence_rejects_n_beyond_the_double_range():
+    for n in (2**1024, 2**1024 - 1, 10**400):
+        with pytest.raises(InvalidArgument, match="too large"):
+            merging_sequence(X0, 1.0, 2.0, n)
+    assert merging_sequence(X0, 1.0, 2.0, 2**1023).positions.tolist() == [[-(2.0**-1023)], [2.0**-1023]]
+
+
 def test_empty_x0_is_an_invalid_argument():
     with pytest.raises(InvalidArgument, match="x0"):
         merging_sequence((), 1.0, 2.0, 3)
