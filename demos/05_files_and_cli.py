@@ -19,7 +19,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))  # run f
 from platocone import Window, jsonl, make_configuration, sample_gamma, to_plato
 from platocone.cli import main as cli
 
-workdir = Path(tempfile.mkdtemp(prefix="platocone_demo_"))
+# removed at the end of the script, and at interpreter exit if it fails
+tmp = tempfile.TemporaryDirectory(prefix="platocone_demo_")
+workdir = Path(tmp.name)
 print("working in", workdir)
 
 ########################################################################
@@ -90,3 +92,5 @@ payload = json.loads(conv_out.read_text())
 print("\nconverge:", {"converged": payload["converged"],
                       "limit_pinpointing": payload["limit_pinpointing"],
                       "last": payload["discrepancies"][-1]})
+
+tmp.cleanup()

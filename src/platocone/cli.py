@@ -136,22 +136,19 @@ def _cmd_sample(args) -> int:
 
     if args.process == "poisson":
         spec = FiniteProduct(_default_mark_density(args.mark_cut))
-        prefix = "poisson"
         runner = lambda seed: sample_poisson(spec, window, seed)
-    elif args.process == "gamma":
-        if args.theta is None or args.epsilon is None:
-            _fail("sample gamma requires --theta and --epsilon")
-        if args.theta <= 0:
-            _fail(f"--theta must be positive, got {args.theta}")
-        prefix = "gamma"
-        runner = lambda seed: sample_gamma(args.theta, window, args.epsilon, seed)
     else:
-        if args.theta is None or args.n_jumps is None:
-            _fail("sample gamma-ordered requires --theta and --n-jumps")
+        sampler, flag, value = (
+            (sample_gamma, "--epsilon", args.epsilon)
+            if args.process == "gamma"
+            else (sample_gamma_ordered, "--n-jumps", args.n_jumps)
+        )
+        if args.theta is None or value is None:
+            _fail(f"sample {args.process} requires --theta and {flag}")
         if args.theta <= 0:
             _fail(f"--theta must be positive, got {args.theta}")
-        prefix = "gamma_ordered"
-        runner = lambda seed: sample_gamma_ordered(args.theta, window, args.n_jumps, seed)
+        runner = lambda seed: sampler(args.theta, window, value, seed)
+    prefix = args.process.replace("-", "_")
 
     for seed in range(base_seed, base_seed + args.count):
         obj, report = runner(seed)
@@ -212,7 +209,7 @@ def _cmd_stats(args) -> int:
     for path in getattr(args, "in"):
         obj = _read_object(path)
         if not isinstance(obj, DiscreteMeasure):
-            _fail(f"{path}: stats expects measure inputs, got kind for {type(obj).__name__}")
+            _fail(f"{path}: stats expects a measure file, got a configuration")
         measures.append(obj)
 
     volume = window.volume()
@@ -266,10 +263,12 @@ def _family_for(configs):
     return hat_family(Window(lo, hi), (2,) * d, (0.0, float(marks.max()) + 1.0))
 
 
-def _read_configuration(path: str):
+def _read_configuration(path: str, dim: int | None):
     obj = _read_object(path)
     if isinstance(obj, DiscreteMeasure):
         _fail(f"{path}: converge expects configuration inputs")
+    if dim is not None and obj.dimension != dim:
+        _fail(f"{path} has dimension {obj.dimension}, expected {dim}")
     return obj
 
 
@@ -277,8 +276,8 @@ def _cmd_converge(args) -> int:
     if getattr(args, "in"):
         if not args.limit:
             _fail("converge with --in requires --limit")
-        configs = [_read_configuration(path) for path in getattr(args, "in")]
-        limit = _read_configuration(args.limit)
+        limit = _read_configuration(args.limit, args.dim)
+        configs = [_read_configuration(path, limit.dimension) for path in getattr(args, "in")]
         family = _family_for(configs + [limit])
         result = check_convergence(
             lambda n: configs[n - 1], limit, family, args.tol, len(configs)

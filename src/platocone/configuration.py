@@ -84,9 +84,9 @@ class Window:
     optional mark interval ``(a, b]``.
 
     ``upper`` bounds may be ``+inf`` (such a window is unbounded and is
-    rejected by the samplers).  By default each axis must have strictly
-    positive extent; pass ``allow_degenerate=True`` to permit
-    ``lower_i == upper_i`` faces, which produce empty windows.
+    rejected by the samplers).  Each axis must have strictly positive
+    extent; the volume can still underflow to zero, and the samplers
+    reject such a window with ``DegenerateWindow``.
 
     The mark interval is open at ``a`` and closed at ``b``; ``b`` may be
     ``inf``.  A window without a mark interval accepts every mark.
@@ -95,7 +95,6 @@ class Window:
     lower: Position
     upper: Position
     mark_interval: tuple | None = None
-    allow_degenerate: bool = field(default=False, compare=False, repr=False)
 
     def __post_init__(self):
         lo = tuple(float(v) for v in self.lower)
@@ -107,7 +106,7 @@ class Window:
         for a, b in zip(lo, hi):
             if math.isnan(a) or math.isnan(b):
                 raise InvalidArgument("window bounds must not be NaN")
-            if a > b or (a == b and not self.allow_degenerate):
+            if a >= b:
                 raise InvalidArgument(f"window requires lower < upper per axis, got [{a}, {b})")
         lo = tuple(0.0 if v == 0.0 else v for v in lo)
         hi = tuple(0.0 if v == 0.0 else v for v in hi)

@@ -35,6 +35,7 @@ is not UTF-8 text is a :class:`JsonlFormatError` too.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from pathlib import Path
 
@@ -202,13 +203,4 @@ def read(path):
 
 def serialize_report(report: SampleReport) -> str:
     """Render a sampler report as a single JSON object plus newline."""
-    payload = {
-        "seed": report.seed,
-        "epsilon": report.epsilon,
-        "expected_discarded_mass": report.expected_discarded_mass,
-        "atom_count": report.atom_count,
-        "algorithm": report.algorithm,
-        "e1_iterations": report.e1_iterations,
-        "e1_residual": report.e1_residual,
-    }
-    return json.dumps(payload, separators=(",", ":"), allow_nan=False) + "\n"
+    return _dump_line(dataclasses.asdict(report)) + "\n"

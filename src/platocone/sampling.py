@@ -30,6 +30,10 @@ of the generator API.  Gamma marks invert E1 by safeguarded Newton
 tolerance 1e-12 on the mark, and every report certifies the run with the
 largest iteration count and the worst E1 residual.  A mean atom count
 (or ``n_jumps``) above 10^7 is refused.
+
+The samplers share one tail: positions, the canonical build and the
+report.  A draw whose atoms repeat one another bit for bit would merge
+there, so every sampler refuses it with ``InvalidArgument``.
 """
 
 from __future__ import annotations
@@ -249,6 +253,23 @@ def _uniform_positions(rng: np.random.Generator, n: int, lam: Window) -> np.ndar
     return np.minimum(x, np.nextafter(hi, lo))
 
 
+def _count(seed: int, mean: float) -> int:
+    """The atom count of one seed: Poisson with the (capped) mean."""
+    return _poisson_draw(substream(seed, _STREAM_COUNT), _require_count(mean, "mean atom count"))
+
+
+def _build(seed: int, lam: Window, marks: np.ndarray, epsilon, discarded: float, iterations=0, residual=0.0):
+    """The tail every sampler shares: positions, the canonical build, the report."""
+    n = marks.size
+    gamma = Configuration._canonical(marks, _uniform_positions(substream(seed, _STREAM_POSITIONS), n, lam))
+    if len(gamma) != n:  # the build merged atoms that repeat bit for bit
+        raise InvalidArgument(
+            f"seed {seed}: {n - len(gamma)} of the {n} atoms drawn repeat another bit for bit; "
+            "the window is too narrow for the intensity"
+        )
+    return gamma, SampleReport(seed, epsilon, discarded, n, _ALGORITHM, iterations, residual)
+
+
 def _newton_below_one(t: np.ndarray):
     # Roots in (0, 1], on m = ln s: g(m) = E1(e^m) - t = -gamma - m +
     # P(e^m) - t with g'(m) = -e^-s.  g is convex and decreasing, and
@@ -369,24 +390,10 @@ def sample_poisson(spec: FiniteProduct, lam: Window, seed: int):
     seed = _require_seed(seed)
     vol = _require_sampling_window(lam)
     grid, cdf, mass = spec._mark_table
-    mean = _require_count(mass * spec.spatial_rate * vol, "mean atom count")
 
-    n = _poisson_draw(substream(seed, _STREAM_COUNT), mean)
+    n = _count(seed, mass * spec.spatial_rate * vol)
     u = _uniforms_open(substream(seed, _STREAM_MARKS), n)
-    marks = _invert_mark_cdf(u, grid, cdf, mass)
-    positions = _uniform_positions(substream(seed, _STREAM_POSITIONS), n, lam)
-
-    gamma = Configuration._canonical(marks, positions)
-    report = SampleReport(
-        seed=seed,
-        epsilon=None,
-        expected_discarded_mass=0.0,
-        atom_count=len(gamma),
-        algorithm=_ALGORITHM,
-        e1_iterations=0,
-        e1_residual=0.0,
-    )
-    return gamma, report
+    return _build(seed, lam, _invert_mark_cdf(u, grid, cdf, mass), None, 0.0)
 
 
 def _invert_mark_cdf(u: np.ndarray, grid: np.ndarray, cdf: np.ndarray, mass: float) -> np.ndarray:
@@ -430,26 +437,12 @@ def sample_gamma(theta: float, lam: Window, epsilon: float, seed: int):
     vol = _require_sampling_window(lam)
 
     e1_eps = _e1_at(epsilon)
-    mean = _require_count(theta * vol * e1_eps, "mean atom count")
-    n = _poisson_draw(substream(seed, _STREAM_COUNT), mean)
+    n = _count(seed, theta * vol * e1_eps)
     u = _uniforms_open(substream(seed, _STREAM_MARKS), n)
     marks, iterations, residual = _invert_e1((1.0 - u) * e1_eps)
-    positions = _uniform_positions(substream(seed, _STREAM_POSITIONS), n, lam)
-
-    gamma = Configuration._canonical(marks, positions)
-    if len(gamma) != n:
-        raise RuntimeError("bitwise atom collision in sampler output")
-    eta = reflect(to_plato(gamma))
-    report = SampleReport(
-        seed=seed,
-        epsilon=epsilon,
-        expected_discarded_mass=theta * vol * (-math.expm1(-epsilon)),
-        atom_count=len(eta),
-        algorithm=_ALGORITHM,
-        e1_iterations=iterations,
-        e1_residual=residual,
-    )
-    return eta, report
+    discarded = expected_truncation_error(theta, vol, epsilon)
+    gamma, report = _build(seed, lam, marks, epsilon, discarded, iterations, residual)
+    return reflect(to_plato(gamma)), report
 
 
 def sample_gamma_ordered(theta: float, lam: Window, n_jumps: int, seed: int):
@@ -477,22 +470,9 @@ def sample_gamma_ordered(theta: float, lam: Window, n_jumps: int, seed: int):
     marks, iterations, residual = _invert_e1(arrivals / _require_finite(theta * vol, "expected window mass"))
     if np.any(np.diff(marks) >= 0.0):
         raise RuntimeError("ordered jumps failed to decrease strictly")
-    positions = _uniform_positions(substream(seed, _STREAM_POSITIONS), int(n_jumps), lam)
-
-    gamma = Configuration._canonical(marks, positions)
-    if len(gamma) != int(n_jumps):
-        raise RuntimeError("bitwise atom collision in sampler output")
-    eta = reflect(to_plato(gamma))
-    report = SampleReport(
-        seed=seed,
-        epsilon=None,
-        expected_discarded_mass=theta * vol * (-math.expm1(-float(marks[-1]))),
-        atom_count=len(eta),
-        algorithm=_ALGORITHM,
-        e1_iterations=iterations,
-        e1_residual=residual,
-    )
-    return eta, report
+    discarded = expected_truncation_error(theta, vol, float(marks[-1]))
+    gamma, report = _build(seed, lam, marks, None, discarded, iterations, residual)
+    return reflect(to_plato(gamma)), report
 
 
 def expected_truncation_error(theta: float, volume: float, epsilon: float) -> float:

@@ -70,20 +70,21 @@ def _e1_series(s: np.ndarray) -> np.ndarray:
     return -_EULER_GAMMA - np.log(s) + np.polyval(_E1_SERIES_COEFFS, s)
 
 
-def _e1_cf_scalar(s: float) -> float:
-    # E1(s) = e^-s / (s + 1 - 1/(s + 3 - 4/(s + 5 - 9/(...)))), s >= 1,
-    # evaluated with the modified Lentz algorithm.
-    b = s + 1.0
+def _lentz(t: float, shape: float) -> float:
+    # e^t t^-shape Gamma(shape, t) = 1 / (t + 1 - shape - 1 (1 - shape) /
+    # (t + 3 - shape - 2 (2 - shape) / (...))) by the modified Lentz
+    # algorithm; shape 0 gives e^t E1(t)
+    b = t + 1.0 - shape
     c = 1.0 / _LENTZ_TINY
     d = 1.0 / b
     h = d
     for i in range(1, _MAX_CF_ITER + 1):
-        a = -float(i * i)
+        a = -i * (i - shape)
         b += 2.0
-        den = a * d + b
-        if abs(den) < _LENTZ_TINY:
-            den = _LENTZ_TINY
-        d = 1.0 / den
+        d = a * d + b
+        if abs(d) < _LENTZ_TINY:
+            d = _LENTZ_TINY
+        d = 1.0 / d
         c = b + a / c
         if abs(c) < _LENTZ_TINY:
             c = _LENTZ_TINY
@@ -91,7 +92,12 @@ def _e1_cf_scalar(s: float) -> float:
         h *= delta
         if abs(delta - 1.0) < _LENTZ_EPS:
             break
-    return h * math.exp(-s)
+    return h
+
+
+def _e1_cf_scalar(s: float) -> float:
+    # E1(s) for s >= 1 by the continued fraction
+    return _lentz(s, 0.0) * math.exp(-s)
 
 
 def e1_array(s: np.ndarray) -> np.ndarray:
@@ -164,26 +170,7 @@ def gamma_cdf(shape: float, scale: float, x: float) -> float:
                 break
         return total * math.exp(log_prefactor)
     # continued fraction for Q(a, t), then P = 1 - Q
-    b = t + 1.0 - shape
-    c = 1.0 / _LENTZ_TINY
-    d = 1.0 / b
-    h = d
-    for i in range(1, _MAX_CF_ITER + 1):
-        an = -i * (i - shape)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < _LENTZ_TINY:
-            d = _LENTZ_TINY
-        c = b + an / c
-        if abs(c) < _LENTZ_TINY:
-            c = _LENTZ_TINY
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _LENTZ_EPS:
-            break
-    q = math.exp(log_prefactor) * h
-    return 1.0 - q
+    return 1.0 - math.exp(log_prefactor) * _lentz(t, shape)
 
 
 def ks_statistic(sample: EmpiricalSample, cdf: Callable[[float], float]) -> float:

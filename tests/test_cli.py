@@ -213,7 +213,7 @@ def test_stats_command_passes_on_enough_samples(tmp_path, capsys):
     assert math.isclose(report["count_expected"], 13.238295893062486, rel_tol=1e-9)
 
 
-def test_stats_rejects_mixed_kind_inputs(tmp_path):
+def test_stats_rejects_mixed_kind_inputs(tmp_path, capsys):
     out = tmp_path / "mix"
     run(["sample", "gamma", "--theta", "1", "--window", "0,1",
          "--epsilon", "1e-6", "--seed", "0", "--count", "1", "--out", str(out)])
@@ -224,6 +224,22 @@ def test_stats_rejects_mixed_kind_inputs(tmp_path):
          "--window", "0,1", "--theta", "1", "--epsilon", "1e-6"]
     )
     assert code == 2
+    assert capsys.readouterr().err == f"platocone: error: {config_file}: stats expects a measure file, got a configuration\n"
+
+
+def test_converge_checks_input_dimensions_against_the_limit_and_dim(tmp_path, capsys):
+    one = str(tmp_path / "one.jsonl")
+    two = str(tmp_path / "two.jsonl")
+    jsonl.write(one, make_configuration([(1.0, [0.0]), (2.0, [1.0])], 1))
+    jsonl.write(two, make_configuration([(1.0, [0.0, 0.0]), (2.0, [1.0, 0.0])], 2))
+    for argv, path, d, expected in [
+        (["--in", one, "--limit", two], one, 1, 2),
+        (["--in", two, one, "--limit", one], two, 2, 1),
+        (["--in", one, "--limit", one, "--dim", "3"], one, 1, 3),
+    ]:
+        assert run(["converge", *argv]) == 2
+        assert capsys.readouterr().err == f"platocone: error: {path} has dimension {d}, expected {expected}\n"
+    assert run(["converge", "--in", one, "--limit", one, "--dim", "1"]) == 0
 
 
 def test_converge_defaults(tmp_path, capsys):

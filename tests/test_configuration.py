@@ -182,7 +182,6 @@ def test_pairing_linearity_within_tolerance():
 def test_window_validation():
     with pytest.raises(Exception):
         Window((0.0,), (0.0,))
-    Window((0.0,), (0.0,), allow_degenerate=True)
     with pytest.raises(Exception):
         Window((0.0, 0.0), (1.0,))
     with pytest.raises(Exception):

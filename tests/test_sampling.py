@@ -19,6 +19,7 @@ from platocone import (
     count_in_window,
     expected_truncation_error,
     exp_integral_e1,
+    indicator,
     reflect_inverse,
     sample_gamma,
     sample_gamma_ordered,
@@ -36,6 +37,8 @@ from platocone.sampling import (
 )
 
 UNIT = Window((0.0,), (1.0,))
+# each side is positive, the volume underflows to 0.0
+TINY_AREA = Window((0.0, 0.0), (1e-200, 1e-200))
 
 
 def exp_mark_density(cut=40.0):
@@ -60,7 +63,7 @@ def test_sample_gamma_validation():
     with pytest.raises(UnboundedWindow):
         sample_gamma(1.0, Window((0.0,), (float("inf"),)), 1e-8, 0)
     with pytest.raises(DegenerateWindow):
-        sample_gamma(1.0, Window((0.0,), (0.0,), allow_degenerate=True), 1e-8, 0)
+        sample_gamma(1.0, TINY_AREA, 1e-8, 0)
     with pytest.raises(InvalidArgument):
         sample_gamma(1.0, UNIT, 1e-8, -3)
 
@@ -171,7 +174,7 @@ def test_sample_poisson_marks_follow_density():
 def test_sample_poisson_rejects_bad_inputs():
     spec = FiniteProduct(exp_mark_density())
     with pytest.raises(DegenerateWindow):
-        sample_poisson(spec, Window((0.0,), (0.0,), allow_degenerate=True), 0)
+        sample_poisson(spec, TINY_AREA, 0)
     with pytest.raises(UnboundedWindow):
         sample_poisson(spec, Window((0.0,), (float("inf"),)), 0)
     with pytest.raises(InvalidArgument):
@@ -367,3 +370,12 @@ def test_gamma_samplers_reject_positions_that_collide():
         with pytest.raises(NotPinpointing) as err:
             draw()
         assert err.value.position == (1.0,)
+
+
+def test_poisson_sampler_refuses_atoms_that_repeat_bit_for_bit():
+    # marks and positions both lie in one double, so the five atoms drawn
+    # for seed 0 are one (mark, position) pair five times over; the
+    # canonical build would merge them into one point
+    spec = FiniteProduct(indicator(ONE_ULP, "space"), spatial_rate=1e32)
+    with pytest.raises(InvalidArgument, match="seed 0: 4 of the 5 atoms"):
+        sample_poisson(spec, ONE_ULP, 0)

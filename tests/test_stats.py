@@ -15,6 +15,7 @@ from platocone import (
     gamma_cdf,
     ks_statistic,
 )
+from platocone import stats
 from platocone.stats import e1_array
 
 
@@ -151,3 +152,94 @@ def test_chi_square_degenerate_tables():
         chi_square_independence([[1, 2]])
     with pytest.raises(DegenerateTable):
         chi_square_independence([[1, -2], [3, 4]])
+
+
+# The two continued-fraction loops as they stood before they became one
+# (stats._lentz), copied verbatim; the shared loop must keep their bits.
+_LENTZ_TINY = 1e-300
+_LENTZ_EPS = 1e-16
+_MAX_CF_ITER = 300
+
+
+def _e1_cf_two_loops(s):
+    b = s + 1.0
+    c = 1.0 / _LENTZ_TINY
+    d = 1.0 / b
+    h = d
+    for i in range(1, _MAX_CF_ITER + 1):
+        a = -float(i * i)
+        b += 2.0
+        den = a * d + b
+        if abs(den) < _LENTZ_TINY:
+            den = _LENTZ_TINY
+        d = 1.0 / den
+        c = b + a / c
+        if abs(c) < _LENTZ_TINY:
+            c = _LENTZ_TINY
+        delta = c * d
+        h *= delta
+        if abs(delta - 1.0) < _LENTZ_EPS:
+            break
+    return h * math.exp(-s)
+
+
+def _gamma_cdf_two_loops(shape, scale, x):
+    log_gamma = math.lgamma(shape)
+    t = x / scale
+    log_prefactor = -t + shape * math.log(t) - log_gamma
+    if t < shape + 1.0:
+        ap = shape
+        delta = 1.0 / shape
+        total = delta
+        for _ in range(_MAX_CF_ITER):
+            ap += 1.0
+            delta *= t / ap
+            total += delta
+            if abs(delta) < abs(total) * _LENTZ_EPS:
+                break
+        return total * math.exp(log_prefactor)
+    b = t + 1.0 - shape
+    c = 1.0 / _LENTZ_TINY
+    d = 1.0 / b
+    h = d
+    for i in range(1, _MAX_CF_ITER + 1):
+        an = -i * (i - shape)
+        b += 2.0
+        d = an * d + b
+        if abs(d) < _LENTZ_TINY:
+            d = _LENTZ_TINY
+        c = b + an / c
+        if abs(c) < _LENTZ_TINY:
+            c = _LENTZ_TINY
+        d = 1.0 / d
+        delta = d * c
+        h *= delta
+        if abs(delta - 1.0) < _LENTZ_EPS:
+            break
+    q = math.exp(log_prefactor) * h
+    return 1.0 - q
+
+
+def test_one_lentz_loop_keeps_the_bits_of_the_two():
+    rng = np.random.default_rng(20261019)
+    s_values = np.concatenate(
+        [
+            [1.0, math.nextafter(1.0, 2.0), 2.0, 50.0, 700.0],
+            np.logspace(0.0, math.log10(700.0), 2000),
+            np.exp(rng.uniform(0.0, math.log(700.0), 8000)),
+        ]
+    ).tolist()
+    assert len(s_values) >= 10**4
+    for s in s_values:
+        assert stats._e1_cf_scalar(s) == _e1_cf_two_loops(s), s
+
+    n = 12000
+    shapes = np.exp(rng.uniform(math.log(1e-3), math.log(1e3), n))
+    scales = np.exp(rng.uniform(math.log(0.1), math.log(10.0), n))
+    # t = x / scale at or above shape + 1 runs the continued fraction: 10^4
+    # of the arguments, and the series branch the rest
+    ratios = np.exp(np.concatenate([rng.uniform(0.0, math.log(30.0), 10**4),
+                                    rng.uniform(math.log(0.05), 0.0, n - 10**4)]))
+    xs = (shapes + 1.0) * ratios * scales
+    for shape, scale, x in zip(shapes.tolist(), scales.tolist(), xs.tolist()):
+        assert gamma_cdf(shape, scale, x) == _gamma_cdf_two_loops(shape, scale, x), (shape, scale, x)
