@@ -381,6 +381,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
+        if getattr(args, "out", None) == "":
+            _fail("--out must not be empty")
         return args.handler(args)
     except _CliError as exc:
         print(f"platocone: error: {exc}", file=sys.stderr)

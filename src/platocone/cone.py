@@ -22,7 +22,6 @@ bijection with configurations.
 
 from __future__ import annotations
 
-import math
 from typing import Iterable
 
 import numpy as np
@@ -30,7 +29,7 @@ import numpy as np
 from .configuration import (
     Configuration, TestFunction, Window, _mass, _pair, _PointArrays, _rows, _total, clean_position
 )
-from .errors import DimensionMismatch, InvalidArgument, NonPositiveWeight
+from .errors import DimensionMismatch, NonPositiveWeight, _positive
 
 
 class DiscreteMeasure(_PointArrays):
@@ -63,10 +62,7 @@ class DiscreteMeasure(_PointArrays):
 
     def scaled(self, c: float) -> "DiscreteMeasure":
         """The measure ``c * eta`` for ``c > 0`` (cone scaling)."""
-        c = float(c)
-        if not (math.isfinite(c) and c > 0.0):
-            raise InvalidArgument(f"cone scaling requires c > 0, got {c}")
-        return DiscreteMeasure(c * self.marks, self.positions)
+        return DiscreteMeasure(_positive(c, "cone scaling c") * self.marks, self.positions)
 
 
 def zero_measure(d: int) -> DiscreteMeasure:

@@ -38,7 +38,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidArgument, NonPositiveMark, NotCanonical
+from .errors import DimensionMismatch, InvalidArgument, NonPositiveMark, NotCanonical, _positive, _real, _reals
 
 Position = tuple  # tuple of float coordinates
 
@@ -47,7 +47,7 @@ _SPACE = "space"  # functions of position only
 
 
 def _clean_coordinate(value) -> float:
-    v = float(value)
+    v = _real(value, "coordinate")
     if not math.isfinite(v):
         raise InvalidArgument(f"coordinate must be finite, got {v!r}")
     # fold -0.0 into 0.0 so that ordering, equality and bits agree
@@ -56,7 +56,7 @@ def _clean_coordinate(value) -> float:
 
 def clean_position(position: Sequence[float]) -> Position:
     """Coerce a position to a tuple of finite floats with ``-0.0 -> 0.0``."""
-    return tuple(_clean_coordinate(c) for c in position)
+    return tuple(map(_clean_coordinate, position))
 
 
 @dataclass(frozen=True)
@@ -71,10 +71,7 @@ class MarkedPoint:
     position: Position
 
     def __post_init__(self):
-        m = float(self.mark)
-        if not (math.isfinite(m) and m > 0.0):
-            raise NonPositiveMark(f"mark must be a positive finite real, got {m!r}")
-        object.__setattr__(self, "mark", m)
+        object.__setattr__(self, "mark", _positive(self.mark, "mark", NonPositiveMark))
         object.__setattr__(self, "position", clean_position(self.position))
 
 
@@ -97,24 +94,22 @@ class Window:
     mark_interval: tuple | None = None
 
     def __post_init__(self):
-        lo = tuple(float(v) for v in self.lower)
-        hi = tuple(float(v) for v in self.upper)
+        lo = tuple(_real(v, "window bound") for v in self.lower)
+        hi = tuple(_real(v, "window bound") for v in self.upper)
         if len(lo) != len(hi):
             raise DimensionMismatch(f"window bounds of unequal length: {len(lo)} vs {len(hi)}")
         if len(lo) == 0:
             raise InvalidArgument("window must have at least one axis")
         for a, b in zip(lo, hi):
-            if math.isnan(a) or math.isnan(b):
-                raise InvalidArgument("window bounds must not be NaN")
-            if a >= b:
+            if not a < b:  # also NaN
                 raise InvalidArgument(f"window requires lower < upper per axis, got [{a}, {b})")
         lo = tuple(0.0 if v == 0.0 else v for v in lo)
         hi = tuple(0.0 if v == 0.0 else v for v in hi)
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", hi)
         if self.mark_interval is not None:
-            a, b = (float(v) for v in self.mark_interval)
-            if math.isnan(a) or math.isnan(b) or a < 0.0 or b <= a:
+            a, b = (_real(v, "mark interval bound") for v in self.mark_interval)
+            if not 0.0 <= a < b:
                 raise InvalidArgument(f"mark interval must satisfy 0 <= a < b, got ({a}, {b}]")
             object.__setattr__(self, "mark_interval", (a, b))
 
@@ -160,16 +155,26 @@ def _hat_factor(col: np.ndarray, center: float, width: float) -> np.ndarray:
     return 1.0 - 3.0 * t * t + 2.0 * t * t * t
 
 
+def _hat_product(factors) -> np.ndarray:
+    """The product of the factors in order, in place into the first (a new array)."""
+    factors = iter(factors)
+    product = next(factors)
+    for factor in factors:
+        product *= factor
+        del factor  # so that the next factor can reuse its memory
+    return product
+
+
 class _HatForm:
     """Array form of a tensor product of cubic hats.
 
     ``factors`` holds ``(axis, center, half_width, lo, hi)`` in
     multiplication order, where axis -1 is the mark and ``(lo, hi)`` are
-    the support's bounds on that axis.  A value is the product of the
-    factors in that order.  Just below ``t = 1`` the cubic rounds to values
-    as small as -4.4e-16, so a product can reach -0.0; a zero partial
-    product before the last factor gives +0.0, as a scalar evaluation
-    that stops at the first zero does.
+    the support's bounds on that axis.  A value is the
+    :func:`_hat_product` of the factors, as in the pairing table.  Just
+    below ``t = 1`` the cubic rounds to values as small as -4.4e-16, so a
+    product can reach -0.0; a zero partial product before the last factor
+    gives +0.0, as a scalar evaluation that stops at the first zero does.
     """
 
     __slots__ = ("factors",)
@@ -180,11 +185,14 @@ class _HatForm:
         self.factors = tuple((axis, center, width, *bounds(axis)) for axis, center, width in factors)
 
     def __call__(self, marks, positions):
-        value = before = None
-        for axis, center, width, _, _ in self.factors:
-            factor = _hat_factor(marks if axis < 0 else positions[:, axis], center, width)
-            before, value = value, factor if value is None else value * factor
-        return value if before is None else np.where(before == 0.0, 0.0, value)
+        *head, last = (
+            _hat_factor(marks if axis < 0 else positions[:, axis], center, width)
+            for axis, center, width, _, _ in self.factors
+        )
+        if not head:
+            return last
+        before = _hat_product(head)
+        return np.where(before == 0.0, 0.0, before * last)
 
 
 def _per_point(evaluator: Callable, domain: str) -> Callable:
@@ -248,7 +256,7 @@ class TestFunction:
         if self.domain not in (_PHASE, _SPACE):
             raise InvalidArgument(f"domain must be 'phase' or 'space', got {self.domain!r}")
         if self.lipschitz is not None:
-            L = float(self.lipschitz)
+            L = _real(self.lipschitz, "lipschitz")
             if not (math.isfinite(L) and L >= 0.0):
                 raise InvalidArgument(f"lipschitz must be a nonnegative real or None, got {L}")
             object.__setattr__(self, "lipschitz", L)
@@ -272,7 +280,7 @@ class TestFunction:
         ``marks``, which may be None.  Raises :class:`InvalidArgument`
         once, after evaluating every row, if any value is not finite.
         """
-        positions = np.asarray(positions, dtype=float)
+        positions = _reals(positions, "positions")
         if positions.ndim != 2 or positions.shape[1] != self.dimension:
             raise DimensionMismatch(
                 f"positions of shape {positions.shape} against a function of dimension {self.dimension}"
@@ -280,7 +288,7 @@ class TestFunction:
         if self.domain == _SPACE:
             marks = None
         else:
-            marks = np.asarray(marks, dtype=float)
+            marks = _reals(marks, "marks")
             if marks.shape != positions.shape[:1]:
                 raise InvalidArgument(f"expected {len(positions)} marks, got shape {marks.shape}")
         inside = _inside(self.support, marks, positions)
@@ -336,7 +344,7 @@ def linear_combination(terms: Sequence[tuple]) -> TestFunction:
         raise InvalidArgument("mixed function domains in linear combination")
     if any(fn.dimension != d for fn in fns):
         raise DimensionMismatch("mixed dimensions in linear combination")
-    coefs = [float(c) for c, _ in terms]
+    coefs = [_real(c, "coefficient") for c, _ in terms]
     lower = tuple(min(fn.support.lower[i] for fn in fns) for i in range(d))
     upper = tuple(max(fn.support.upper[i] for fn in fns) for i in range(d))
     intervals = [fn.support.mark_interval for fn in fns]
@@ -412,8 +420,8 @@ class _PointArrays:
 
     @classmethod
     def _checked(cls, marks, positions):
-        marks = np.array(marks, dtype=float)
-        positions = np.array(positions, dtype=float)
+        marks = _reals(marks, "marks", cls._bad_mark)
+        positions = _reals(positions, "coordinates")
         if marks.ndim != 1 or positions.ndim != 2 or len(positions) != len(marks):
             raise InvalidArgument("expected marks of shape (n,) and positions of shape (n, d)")
         if positions.shape[1] < 1:
@@ -518,7 +526,8 @@ class Configuration(_PointArrays):
 
 
 def _rows(raw, d: int):
-    """``(value, position)`` pairs or ``MarkedPoint`` instances as two arrays."""
+    """``(value, position)`` pairs or ``MarkedPoint`` instances as two lists
+    (positions of shape ``(0, d)`` when there are none)."""
     values, coords = [], []
     for item in raw:
         v, x = (item.mark, item.position) if isinstance(item, MarkedPoint) else item
@@ -526,7 +535,7 @@ def _rows(raw, d: int):
             raise DimensionMismatch(f"position {list(x)} has {len(x)} coordinates, expected {d}")
         values.append(v)
         coords.append(x)
-    return values, np.array(coords, dtype=float).reshape(len(coords), d)
+    return values, coords or np.empty((0, d))
 
 
 def make_configuration(raw_points: Iterable, d: int) -> Configuration:
@@ -618,10 +627,10 @@ class _Pairing:
 
     Hat members share one table: each distinct factor (axis, center, half
     width and the support bounds on that axis) is one row over the points,
-    zero outside those bounds, and a member's values are the product of
-    its rows in the order of :class:`_HatForm`.  Other members call
-    :meth:`TestFunction.evaluate`.  Position functions contribute
-    ``s * f(x)``.
+    zero outside those bounds, and a member's values are the
+    :func:`_hat_product` of its rows in the order of :class:`_HatForm`.
+    Other members call :meth:`TestFunction.evaluate`.  Position functions
+    contribute ``s * f(x)``.
 
     Each sum runs over a member's values in canonical order, starting
     from 0.0: one ``cumsum`` along the points per block of points, with
@@ -659,10 +668,7 @@ class _Pairing:
                 inside = (col > lo) & (col <= hi) if axis < 0 else (col >= lo) & (col < hi)
                 tables.append(np.where(inside, _hat_factor(col, center, width), 0.0))
             table = np.concatenate(tables)
-            product = table[self._rows[0]]
-            for rows in self._rows[1:]:
-                product *= table[rows]
-            out[self._hats] = product
+            out[self._hats] = _hat_product(table[rows] for rows in self._rows)
         for j in self._others:
             out[j] = self.functions[j].evaluate(marks, positions)
         if self.domain == _SPACE:

@@ -3,7 +3,16 @@
 Every error raised by validation code derives from :class:`PlatoconeError`,
 which itself derives from ``ValueError`` so that callers who do not care
 about the fine-grained class can catch the usual built-in.
+
+The scalar argument rules live here too.  Each raises the class its
+caller passes, so a value that is not a number at all fails like one
+out of range.
 """
+
+import math
+import numbers
+
+import numpy as np
 
 
 class PlatoconeError(ValueError):
@@ -81,3 +90,38 @@ class DegenerateTable(PlatoconeError):
 
 class JsonlFormatError(PlatoconeError):
     """A JSONL file does not follow the expected header/record schema."""
+
+
+def _real(value, name: str, error=InvalidArgument) -> float:
+    """``float(value)``, raising ``error`` for anything ``float`` rejects."""
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise error(f"{name} must be a real number, got {value!r}") from None
+
+
+def _reals(values, name: str, error=InvalidArgument) -> np.ndarray:
+    """``values`` as a new float64 array; ``error`` if they do not convert."""
+    try:
+        return np.array(values, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        raise error(f"{name} must be an array of real numbers") from None
+
+
+def _positive(value, name: str, error=InvalidArgument) -> float:
+    """A positive finite real."""
+    v = _real(value, name, error)
+    if not 0.0 < v < math.inf:  # False for NaN
+        raise error(f"{name} must be a positive finite real, got {v!r}")
+    return v
+
+
+def _integer(value, name: str, low: int = 1, high=math.inf, error=InvalidArgument) -> int:
+    """An integer in ``[low, high)``: any ``numbers.Integral`` but ``bool``."""
+    # type() first: isinstance against the ABC costs about 0.4 us
+    if type(value) is int or isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        v = int(value)
+        if low <= v < high:
+            return v
+    rule = "a positive integer" if (low, high) == (1, math.inf) else f"an integer in [{low}, {high})"
+    raise error(f"{name} must be {rule}, got {value!r}")

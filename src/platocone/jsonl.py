@@ -43,7 +43,7 @@ import numpy as np
 
 from .configuration import Configuration
 from .cone import DiscreteMeasure
-from .errors import JsonlFormatError, NotCanonical
+from .errors import JsonlFormatError, NotCanonical, _integer
 from .plato import PlatoConfiguration, to_plato
 from .sampling import SampleReport
 
@@ -152,10 +152,8 @@ def parse(text: str):
         raise JsonlFormatError(f"invalid JSON header ({_TOO_DEEP})") from None
     if not isinstance(header, dict) or set(header) != {"d", "kind"}:
         raise JsonlFormatError("header must be exactly {\"d\": <int>, \"kind\": <kind>}")
-    d = header["d"]
+    d = _integer(header["d"], "header 'd'", error=JsonlFormatError)
     kind = header["kind"]
-    if isinstance(d, bool) or not isinstance(d, int) or d < 1:
-        raise JsonlFormatError(f"header 'd' must be a positive integer, got {d!r}")
     if kind not in _KINDS:
         raise JsonlFormatError(f"header 'kind' must be one of {_KINDS}, got {kind!r}")
 

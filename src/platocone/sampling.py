@@ -53,6 +53,9 @@ from .errors import (
     InvalidTheta,
     NonIntegrableDensity,
     UnboundedWindow,
+    _integer,
+    _positive,
+    _real,
 )
 from .plato import reflect, to_plato
 from . import stats
@@ -98,10 +101,7 @@ class FiniteProduct:
     spatial_rate: float = 1.0
 
     def __post_init__(self):
-        r = float(self.spatial_rate)
-        if not (math.isfinite(r) and r > 0.0):
-            raise InvalidArgument(f"spatial_rate must be a positive finite real, got {r!r}")
-        object.__setattr__(self, "spatial_rate", r)
+        object.__setattr__(self, "spatial_rate", _positive(self.spatial_rate, "spatial_rate"))
         fn = self.mark_density
         if fn.domain != "space" or fn.dimension != 1:
             raise InvalidArgument("mark_density must be a one-dimensional position-domain function")
@@ -122,10 +122,7 @@ class FiniteProduct:
             raise NonIntegrableDensity("mark_density must be finite and nonnegative on its support")
         step = (hi - lo) / (_MARK_GRID_NODES - 1)
         cdf = np.concatenate([[0.0], np.cumsum((values[1:] + values[:-1]) * (step / 2.0))])
-        mass = float(cdf[-1])
-        if not (math.isfinite(mass) and mass > 0.0):
-            raise NonIntegrableDensity(f"mark_density must have positive finite mass, got {mass}")
-        return grid, cdf, mass
+        return grid, cdf, _positive(cdf[-1], "mark_density mass", NonIntegrableDensity)
 
     @property
     def total_mark_mass(self) -> float:
@@ -175,12 +172,7 @@ def substream(seed: int, index: int) -> np.random.Generator:
 
 
 def _require_seed(seed) -> int:
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
-        raise InvalidArgument(f"seed must be an integer, got {seed!r}")
-    s = int(seed)
-    if not 0 <= s < 2**64:
-        raise InvalidArgument(f"seed must fit in 64 unsigned bits, got {s}")
-    return s
+    return _integer(seed, "seed", 0, 2**64)
 
 
 def _require_sampling_window(lam: Window) -> float:
@@ -429,9 +421,9 @@ def sample_gamma(theta: float, lam: Window, epsilon: float, seed: int):
     -------
     (DiscreteMeasure, SampleReport)
     """
-    theta = _require_theta(theta)
-    epsilon = float(epsilon)
-    if not (math.isfinite(epsilon) and 0.0 < epsilon < 1.0):
+    theta = _positive(theta, "theta", InvalidTheta)
+    epsilon = _real(epsilon, "epsilon", InvalidEpsilon)
+    if not 0.0 < epsilon < 1.0:
         raise InvalidEpsilon(f"epsilon must lie strictly in (0, 1), got {epsilon!r}")
     seed = _require_seed(seed)
     vol = _require_sampling_window(lam)
@@ -458,14 +450,13 @@ def sample_gamma_ordered(theta: float, lam: Window, n_jumps: int, seed: int):
     -------
     (DiscreteMeasure, SampleReport)
     """
-    theta = _require_theta(theta)
-    if isinstance(n_jumps, bool) or not isinstance(n_jumps, (int, np.integer)) or n_jumps < 1:
-        raise InvalidArgument(f"n_jumps must be a positive integer, got {n_jumps!r}")
+    theta = _positive(theta, "theta", InvalidTheta)
+    n_jumps = _integer(n_jumps, "n_jumps")
     _require_count(float(n_jumps), "n_jumps")
     seed = _require_seed(seed)
     vol = _require_sampling_window(lam)
 
-    u = _uniforms_open(substream(seed, _STREAM_MARKS), int(n_jumps))
+    u = _uniforms_open(substream(seed, _STREAM_MARKS), n_jumps)
     arrivals = np.cumsum(-np.log1p(-u))
     marks, iterations, residual = _invert_e1(arrivals / _require_finite(theta * vol, "expected window mass"))
     if np.any(np.diff(marks) >= 0.0):
@@ -481,18 +472,7 @@ def expected_truncation_error(theta: float, volume: float, epsilon: float) -> fl
     The first moment of the atom intensity below the threshold; bounded
     above by ``theta * volume * epsilon``.
     """
-    theta = _require_theta(theta)
-    volume = float(volume)
-    epsilon = float(epsilon)
-    if not (math.isfinite(volume) and volume > 0.0):
-        raise InvalidArgument(f"volume must be a positive finite real, got {volume!r}")
-    if not (math.isfinite(epsilon) and epsilon > 0.0):
-        raise InvalidArgument(f"epsilon must be a positive finite real, got {epsilon!r}")
+    theta = _positive(theta, "theta", InvalidTheta)
+    volume = _positive(volume, "volume")
+    epsilon = _positive(epsilon, "epsilon")
     return theta * volume * (-math.expm1(-epsilon))
-
-
-def _require_theta(theta) -> float:
-    t = float(theta)
-    if not (math.isfinite(t) and t > 0.0):
-        raise InvalidTheta(f"theta must be a positive finite real, got {t!r}")
-    return t

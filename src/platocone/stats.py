@@ -26,7 +26,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DegenerateTable, InvalidArgument
+from .errors import DegenerateTable, InvalidArgument, _positive, _real, _reals
 
 # Euler-Mascheroni constant, correctly rounded double
 _EULER_GAMMA = 0.5772156649015329
@@ -54,7 +54,7 @@ class EmpiricalSample:
     seed_range: str = ""
 
     def __post_init__(self):
-        vals = tuple(float(v) for v in self.values)
+        vals = tuple(_real(v, "empirical sample value") for v in self.values)
         if not vals:
             raise InvalidArgument("empirical sample must be nonempty")
         if not all(math.isfinite(v) for v in vals):
@@ -127,10 +127,7 @@ def exp_integral_e1(s: float) -> float:
     1e-14 on the tested range [1e-8, 50].  E1 is strictly decreasing and
     satisfies ``e^-s * ln(1 + 1/s) / 2 < E1(s) < e^-s * ln(1 + 1/s)``.
     """
-    s = float(s)
-    if not (math.isfinite(s) and s > 0.0):
-        raise InvalidArgument(f"exp_integral_e1 requires s > 0, got {s!r}")
-    return float(e1_array(np.array([s]))[0])
+    return float(e1_array(np.array([_positive(s, "exp_integral_e1 argument s")]))[0])
 
 
 def gamma_cdf(shape: float, scale: float, x: float) -> float:
@@ -140,14 +137,10 @@ def gamma_cdf(shape: float, scale: float, x: float) -> float:
     complement otherwise; both terminate at relative 1e-16 per step, for
     an absolute error below 1e-10.
     """
-    shape = float(shape)
-    scale = float(scale)
-    x = float(x)
-    if not (math.isfinite(shape) and shape > 0.0):
-        raise InvalidArgument(f"gamma_cdf requires shape > 0, got {shape!r}")
-    if not (math.isfinite(scale) and scale > 0.0):
-        raise InvalidArgument(f"gamma_cdf requires scale > 0, got {scale!r}")
-    if not (math.isfinite(x) and x >= 0.0):
+    shape = _positive(shape, "gamma_cdf shape")
+    scale = _positive(scale, "gamma_cdf scale")
+    x = _real(x, "gamma_cdf x")
+    if not 0.0 <= x < math.inf:
         raise InvalidArgument(f"gamma_cdf requires x >= 0, got {x!r}")
     if x == 0.0:
         return 0.0
@@ -207,7 +200,7 @@ def chi_square_independence(counts) -> ChiSquareResult:
         On negative cells, an empty row or column, or a margin with fewer
         than two categories.
     """
-    table = np.asarray(counts, dtype=float)
+    table = _reals(counts, "cell counts", DegenerateTable)
     if table.ndim != 2 or table.shape[0] < 2 or table.shape[1] < 2:
         raise DegenerateTable(f"need an r x c table with r, c >= 2, got shape {table.shape}")
     if np.any(table < 0) or not np.all(np.isfinite(table)):

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Sequence
@@ -44,7 +45,7 @@ from .configuration import (
     make_configuration,
 )
 from .cone import DiscreteMeasure
-from .errors import DimensionMismatch, EqualMarks, InvalidArgument, NonPositiveMark
+from .errors import DimensionMismatch, EqualMarks, InvalidArgument, NonPositiveMark, _integer, _positive, _real
 from .plato import reflect_inverse
 
 # slack for the "non-increasing tail" check; absorbs last-bit wobble in
@@ -81,11 +82,9 @@ class TestFamily:
             )
             if not (fn.support.is_bounded() and bounded_marks):
                 raise InvalidArgument("family members must have bounded support")
-        weights = tuple(float(w) for w in self.weights) or tuple(1.0 for _ in fns)
+        weights = tuple(_positive(w, "family weight") for w in self.weights) or (1.0,) * len(fns)
         if len(weights) != len(fns):
             raise InvalidArgument("one weight per family member required")
-        if not all(math.isfinite(w) and w > 0.0 for w in weights):
-            raise InvalidArgument("family weights must be positive finite reals")
         object.__setattr__(self, "functions", fns)
         object.__setattr__(self, "weights", weights)
 
@@ -178,16 +177,12 @@ def merging_sequence(x0: Sequence[float], s1: float, s2: float, n: int) -> Confi
     NonPositiveMark, InvalidArgument
         For a bad mark, or a bad ``n`` or ``x0``.
     """
-    s1 = float(s1)
-    s2 = float(s2)
+    s1 = _positive(s1, "s1", NonPositiveMark)
+    s2 = _positive(s2, "s2", NonPositiveMark)
     if s1 == s2:
         raise EqualMarks(f"marks must differ, got s1 == s2 == {s1}")
-    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-        raise InvalidArgument(f"n must be a positive integer, got {n!r}")
+    n = _integer(n, "n")
     x0 = _collision_position(x0)
-    for s in (s1, s2):
-        if not 0.0 < s < math.inf:
-            raise NonPositiveMark(f"{s!r} is not a positive finite real")
     # canonical order, unsorted: left precedes right unless 1/n is below half
     # an ulp of x0[0], when equal rows put the smaller mark first; 1/n > 0,
     # so no sum is -0.0
@@ -207,8 +202,8 @@ def merging_limit(x0: Sequence[float], s1: float, s2: float) -> Configuration:
     A perfectly valid configuration, but not pinpointing: both points
     share the position ``x0``, so it has no measure counterpart.
     """
-    s1 = float(s1)
-    s2 = float(s2)
+    s1 = _real(s1, "s1", NonPositiveMark)
+    s2 = _real(s2, "s2", NonPositiveMark)
     if s1 == s2:
         raise EqualMarks(f"marks must differ, got s1 == s2 == {s1}")
     x0 = _collision_position(x0)
@@ -255,11 +250,8 @@ def check_convergence(
     per ``_SCAN_CHUNK`` terms.  The verdict requires the last discrepancy below ``tol`` and a
     non-increasing tail over the final quartile (with 1e-12 slack).
     """
-    tol = float(tol)
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise InvalidArgument(f"tol must be a positive real, got {tol!r}")
-    if isinstance(n_max, bool) or not isinstance(n_max, int) or n_max < 1:
-        raise InvalidArgument(f"n_max must be a positive integer, got {n_max!r}")
+    tol = _positive(tol, "tol")
+    n_max = _integer(n_max, "n_max")
     discrepancies, argmax = [], []
     for first in range(1, n_max + 1, _SCAN_CHUNK):
         terms = [sequence(n) for n in range(first, min(first + _SCAN_CHUNK, n_max + 1))]
@@ -294,12 +286,10 @@ def hat_function(
     """
     center = clean_position(center)
     d = len(center)
-    if isinstance(half_width, (int, float)):
-        widths = (float(half_width),) * d
-    else:
-        widths = tuple(float(w) for w in half_width)
-    if len(widths) != d or not all(math.isfinite(w) and w > 0.0 for w in widths):
-        raise InvalidArgument("one positive finite half width per coordinate required")
+    scalar = half_width is None or isinstance(half_width, (numbers.Real, str))
+    widths = tuple(_positive(w, "half width") for w in ((half_width,) * d if scalar else half_width))
+    if len(widths) != d:
+        raise InvalidArgument("one half width per coordinate required")
     lower = tuple(c - w for c, w in zip(center, widths))
     upper = tuple(c + w for c, w in zip(center, widths))
     spatial = tuple((i, c, w) for i, (c, w) in enumerate(zip(center, widths)))
@@ -308,10 +298,8 @@ def hat_function(
         support = Window(lower, upper)
         return TestFunction._of_form(_HatForm(spatial, support), support, 1.5 / min(widths), "space")
 
-    mc = float(mark_center)
-    mw = float(mark_half_width if mark_half_width is not None else min(widths))
-    if not (math.isfinite(mc) and mc > 0.0 and math.isfinite(mw) and mw > 0.0):
-        raise InvalidArgument("mark hat requires positive finite center and half width")
+    mc = _positive(mark_center, "mark_center")
+    mw = _positive(min(widths) if mark_half_width is None else mark_half_width, "mark_half_width")
     support = Window(lower, upper, mark_interval=(max(0.0, mc - mw), mc + mw))
     form = _HatForm(((-1, mc, mw),) + spatial, support)
     return TestFunction._of_form(form, support, 1.5 / min(widths + (mw,)), "phase")
@@ -333,14 +321,13 @@ def hat_family(
     if not window.is_bounded():
         raise InvalidArgument("hat_family requires a bounded window")
     d = window.dimension
-    shape = tuple(int(g) for g in grid_shape)
-    if len(shape) != d or any(g < 1 for g in shape):
-        raise InvalidArgument("grid_shape needs one positive cell count per axis")
-    a, b = (float(v) for v in mark_interval)
-    if not (0.0 <= a < b and math.isfinite(b)):
+    shape = tuple(_integer(g, "grid_shape entry") for g in grid_shape)
+    if len(shape) != d:
+        raise InvalidArgument("grid_shape needs one cell count per axis")
+    a, b = (_real(v, "mark_interval bound") for v in mark_interval)
+    if not 0.0 <= a < b < math.inf:
         raise InvalidArgument("mark_interval must satisfy 0 <= a < b < inf")
-    if mark_cells < 1:
-        raise InvalidArgument("mark_cells must be >= 1")
+    mark_cells = _integer(mark_cells, "mark_cells")
 
     axis_centers = []
     axis_widths = []
@@ -371,8 +358,8 @@ def merging_family(x0: Sequence[float], s1: float, s2: float) -> TestFamily:
     merging sequence to its limit is bounded by 2/n.
     """
     x0 = _collision_position(x0)
-    s1 = float(s1)
-    s2 = float(s2)
+    s1 = _real(s1, "s1")
+    s2 = _real(s2, "s2")
     mark_center = 0.5 * (s1 + s2)
     mark_half_width = max(1.5, abs(s2 - s1))
     half = 1.5

@@ -145,6 +145,33 @@ def test_sample_with_colliding_positions_is_a_usage_error(tmp_path, capsys, kind
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sample", "poisson", "--window", "0,1"],
+        ["sample", "gamma", "--window", "0,1", "--theta", "1", "--epsilon", "0.5"],
+        ["reflect", "--in", "IN"],
+        ["restrict", "--in", "IN", "--window", "0,1"],
+        ["pair", "--in", "IN", "--window", "0,1"],
+        ["stats", "--in", "IN", "--window", "0,1", "--theta", "1", "--epsilon", "0.5"],
+        ["converge"],
+    ],
+    ids=lambda argv: argv[0] if argv[0] != "sample" else f"sample-{argv[1]}",
+)
+def test_empty_out_is_a_usage_error_that_writes_nothing(tmp_path, monkeypatch, capsys, argv):
+    measure = tmp_path / "in" / "measure.jsonl"
+    measure.parent.mkdir()
+    jsonl.write(measure, sample_gamma(1.0, Window((0.0,), (1.0,)), 0.5, 0)[0])
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    argv = [str(measure) if a == "IN" else a for a in argv]
+    assert run([*argv, "--out", ""]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "platocone: error: --out must not be empty\n"
+    assert list(work.iterdir()) == []
+
+
 def test_missing_input_is_io_failure(tmp_path):
     code = run(["reflect", "--in", str(tmp_path / "nope.jsonl"), "--out", str(tmp_path / "o")])
     assert code == 3

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_measure, random_plato, random_window
 
@@ -11,6 +13,7 @@ from platocone import (
     NotPinpointing,
     PlatoConfiguration,
     Window,
+    count_in_window,
     double_pair,
     is_pinpointing,
     is_sub_measure,
@@ -157,3 +160,69 @@ def test_reflection_relabels_the_arrays_without_copying():
     assert np.shares_memory(back.configuration.positions, eta.positions)
     assert back == plato and len(back) == len(eta)
     assert not eta.marks.flags.writeable and not eta.positions.flags.writeable
+
+
+# --- boundary points ---------------------------------------------------------
+
+_TINY = 5e-324  # the smallest subnormal
+_SETTINGS = settings(max_examples=150, deadline=None, database=None, derandomize=True)
+
+
+def _around(v):
+    return [float(np.nextafter(v, -math.inf)), v, float(np.nextafter(v, math.inf))]
+
+
+@st.composite
+def boundary_cases(draw):
+    """A window with a mark interval (a, b] and atoms at its edges: signed
+    zeros, subnormals, each face and its neighbours, marks at and next to
+    a and b.  Positions may repeat, so some atoms merge."""
+    d = draw(st.integers(1, 2))
+    faces = st.sampled_from([(-0.0, 1.0), (-1.0, -0.0), (-_TINY, _TINY), (0.0, 2.2e-308)])
+    faces = [draw(faces) for _ in range(d)]
+    a, b = draw(st.sampled_from([(0.0, 1.0), (0.5, 2.0), (_TINY, 1.5)]))
+    lam = Window(*zip(*faces), mark_interval=(a, b))
+    coords = [[0.0, -0.0, _TINY, -_TINY, *_around(lo), *_around(hi)] for lo, hi in faces]
+    marks = [m for m in (*_around(a), *_around(b), 1.0) if m > 0.0]
+    atoms = draw(st.lists(
+        st.tuples(st.sampled_from(marks), st.tuples(*(st.sampled_from(c) for c in coords))), max_size=12
+    ))
+    return lam, d, atoms
+
+
+def _inside(lam, w, x):
+    a, b = lam.mark_interval
+    return a < w <= b and all(lo <= c < hi for c, lo, hi in zip(x, lam.lower, lam.upper))
+
+
+@_SETTINGS
+@given(boundary_cases())
+def test_reflection_round_trips_bitwise_at_boundary_coordinates(case):
+    _, d, atoms = case
+    eta = make_measure(atoms, d)
+    # -0.0 and 0.0 are one position, stored as 0.0; distinct subnormals stay apart
+    assert len(eta) == len({tuple(c + 0.0 for c in x) for _, x in atoms})
+    assert not (np.signbit(eta.positions) & (eta.positions == 0.0)).any()
+    plato = reflect_inverse(eta)
+    assert plato == to_plato(make_configuration([(w, x) for x, w in eta.atoms], d))
+    back = reflect(plato)
+    assert back.marks.tobytes() == eta.marks.tobytes()
+    assert back.positions.tobytes() == eta.positions.tobytes()
+    assert make_measure(zip(plato.marks.tolist(), plato.positions.tolist()), d) == eta
+
+
+@_SETTINGS
+@given(boundary_cases())
+def test_window_membership_at_faces_and_mark_ends_agrees_across_the_reflection(case):
+    lam, d, atoms = case
+    assert not any(math.copysign(1.0, v) < 0.0 for v in lam.lower + lam.upper if v == 0.0)
+    eta = make_measure(atoms, d)
+    plato = reflect_inverse(eta)
+    kept = [(x, w) for x, w in eta.atoms if _inside(lam, w, x)]
+    assert [lam.contains_position(x) and lam.contains_mark(w) for x, w in eta.atoms] == [
+        _inside(lam, w, x) for x, w in eta.atoms
+    ]
+    assert count_in_window(eta, lam) == count_in_window(plato, lam) == len(kept)
+    assert restrict(eta, lam).atoms == tuple(kept)
+    assert reflect_inverse(restrict(eta, lam)) == restrict(plato, lam)
+    assert mass_in_window(eta, lam).hex() == local_mass(plato, lam).hex()
