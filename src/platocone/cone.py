@@ -29,7 +29,7 @@ import numpy as np
 from .configuration import (
     Configuration, TestFunction, Window, _mass, _pair, _PointArrays, _rows, _total, clean_position
 )
-from .errors import DimensionMismatch, NonPositiveWeight, _positive
+from .errors import DimensionMismatch, NonPositiveWeight, _integer, _positive
 
 
 class DiscreteMeasure(_PointArrays):
@@ -67,7 +67,7 @@ class DiscreteMeasure(_PointArrays):
 
 def zero_measure(d: int) -> DiscreteMeasure:
     """The zero measure in dimension ``d`` (by convention part of the cone)."""
-    return DiscreteMeasure(np.empty(0), np.empty((0, d)))
+    return DiscreteMeasure(np.empty(0), np.empty((0, _integer(d, "d"))))
 
 
 def make_measure(atoms: Iterable, d: int) -> DiscreteMeasure:

@@ -38,7 +38,16 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidArgument, NonPositiveMark, NotCanonical, _positive, _real, _reals
+from .errors import (
+    DimensionMismatch,
+    InvalidArgument,
+    NonPositiveMark,
+    NotCanonical,
+    _integer,
+    _positive,
+    _real,
+    _reals,
+)
 
 Position = tuple  # tuple of float coordinates
 
@@ -527,7 +536,9 @@ class Configuration(_PointArrays):
 
 def _rows(raw, d: int):
     """``(value, position)`` pairs or ``MarkedPoint`` instances as two lists
-    (positions of shape ``(0, d)`` when there are none)."""
+    (positions of shape ``(0, d)`` when there are none, for a positive
+    integer ``d``; with points, any ``d`` that is not their length is a
+    ``DimensionMismatch``)."""
     values, coords = [], []
     for item in raw:
         v, x = (item.mark, item.position) if isinstance(item, MarkedPoint) else item
@@ -535,7 +546,7 @@ def _rows(raw, d: int):
             raise DimensionMismatch(f"position {list(x)} has {len(x)} coordinates, expected {d}")
         values.append(v)
         coords.append(x)
-    return values, coords or np.empty((0, d))
+    return values, coords or np.empty((0, _integer(d, "d")))
 
 
 def make_configuration(raw_points: Iterable, d: int) -> Configuration:

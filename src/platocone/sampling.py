@@ -9,7 +9,9 @@ provided and cross-checked against each other:
   ``epsilon``.  The kept atoms form a Poisson process with mean count
   ``theta * volume * E1(epsilon)``; the discarded tail carries expected
   mass ``theta * volume * (1 - e^-epsilon)``, which the report states
-  explicitly so truncation is always accounted for, never silent.
+  explicitly so truncation is always accounted for, never silent.  Its
+  marks are drawn by rejection (Devroye, *Non-Uniform Random Variate
+  Generation*, 1986, ch. II).
 * ``sample_gamma_ordered`` generates the ``n_jumps`` largest marks
   directly, largest first, by inverting the tail mass function
   ``T(s) = theta * volume * E1(s)`` at the arrival times of a unit-rate
@@ -25,11 +27,14 @@ Reproducibility contract: a sampler's output is a pure function of
 atom count of a run never depends on how many mark or position draws
 another part of the pipeline consumed.  All randomness reduces to
 uniform doubles from PCG64, the most version- and platform-stable part
-of the generator API.  Gamma marks invert E1 by safeguarded Newton
-(bisection steps where Newton leaves the analytic bracket) to relative
-tolerance 1e-12 on the mark, and every report certifies the run with the
-largest iteration count and the worst E1 residual.  A mean atom count
-(or ``n_jumps``) above 10^7 is refused.
+of the generator API.  Marks take ``exp`` and ``log`` from
+``stats._exp`` and ``stats._log``, so their bits do not depend on the
+CPU.  The ordered sampler inverts E1 by safeguarded Newton (bisection
+steps where Newton leaves the analytic bracket) to relative tolerance
+1e-12 on the mark; its report certifies the run with the largest
+iteration count and the worst E1 residual, and the threshold sampler's
+report counts its rejection rounds.  A mean atom count (or ``n_jumps``)
+above 10^7 is refused.
 
 The samplers share one tail: positions, the canonical build and the
 report.  A draw whose atoms repeat one another bit for bit would merge
@@ -70,8 +75,8 @@ _STREAM_COUNT = 0
 _STREAM_MARKS = 1
 _STREAM_POSITIONS = 2
 
-# version of the mark inversion, carried by every report
-_ALGORITHM = 2
+# version of the mark algorithm, carried by every report
+_ALGORITHM = 3
 # half the 1e-12 contract on s: an accepted iterate is off by about its
 # Newton step, plus the rounding of s = e^m
 _NEWTON_TOL = 5e-13
@@ -139,11 +144,14 @@ class SampleReport:
     conditional on the realized smallest jump for the ordered sampler,
     and zero for finite-intensity sampling.
 
-    The last three fields certify the numerics.  ``algorithm`` names the
-    mark inversion (1: bisection, 2: safeguarded Newton).
+    The last four fields certify the numerics.  ``algorithm`` names the
+    mark algorithm (1: E1 inversion by bisection, 2: by safeguarded
+    Newton, 3: rejection in ``sample_gamma`` and Newton on
+    ``stats._exp``/``_log`` in ``sample_gamma_ordered``).
     ``e1_iterations`` is the largest number of E1 evaluations any mark
     took, and ``e1_residual`` the worst ``|E1(s)/t - 1|`` over the
     returned marks; both are 0 when no E1 inversion ran.
+    ``rejection_rounds`` counts the rounds of the rejection, 0 if none ran.
     """
 
     seed: int
@@ -153,6 +161,7 @@ class SampleReport:
     algorithm: int
     e1_iterations: int
     e1_residual: float
+    rejection_rounds: int
 
     def __post_init__(self):
         if self.expected_discarded_mass < 0.0:
@@ -163,6 +172,8 @@ class SampleReport:
             raise InvalidArgument("e1_iterations must be nonnegative")
         if not self.e1_residual >= 0.0:
             raise InvalidArgument("e1_residual must be nonnegative")
+        if self.rejection_rounds < 0:
+            raise InvalidArgument("rejection_rounds must be nonnegative")
 
 
 def substream(seed: int, index: int) -> np.random.Generator:
@@ -250,7 +261,9 @@ def _count(seed: int, mean: float) -> int:
     return _poisson_draw(substream(seed, _STREAM_COUNT), _require_count(mean, "mean atom count"))
 
 
-def _build(seed: int, lam: Window, marks: np.ndarray, epsilon, discarded: float, iterations=0, residual=0.0):
+def _build(
+    seed: int, lam: Window, marks: np.ndarray, epsilon, discarded: float, iterations=0, residual=0.0, rounds=0
+):
     """The tail every sampler shares: positions, the canonical build, the report."""
     n = marks.size
     gamma = Configuration._canonical(marks, _uniform_positions(substream(seed, _STREAM_POSITIONS), n, lam))
@@ -259,7 +272,7 @@ def _build(seed: int, lam: Window, marks: np.ndarray, epsilon, discarded: float,
             f"seed {seed}: {n - len(gamma)} of the {n} atoms drawn repeat another bit for bit; "
             "the window is too narrow for the intensity"
         )
-    return gamma, SampleReport(seed, epsilon, discarded, n, _ALGORITHM, iterations, residual)
+    return gamma, SampleReport(seed, epsilon, discarded, n, _ALGORITHM, iterations, residual, rounds)
 
 
 def _newton_below_one(t: np.ndarray):
@@ -276,10 +289,10 @@ def _newton_below_one(t: np.ndarray):
     values = np.empty_like(t)
     pending = np.arange(t.size)
     for iterations in range(1, _NEWTON_MAX_ITER + 1):
-        s = np.exp(m)
+        s = stats._exp(m)
         e1 = stats._e1_series(s)
         g = e1 - t
-        step = g * np.exp(s)
+        step = g * stats._exp(s)
         done = np.abs(step) <= _NEWTON_TOL
         if done.any():
             roots[pending[done]] = s[done]
@@ -305,17 +318,17 @@ def _newton_above_one(t: float):
     # fixed-point steps of s = L - ln(1 + s), L = -ln t, from s = 1 end at
     # or left of the root of e^-s / (1 + s) = t, itself left of the root,
     # so the iterates rise monotonically.
-    big_l = -math.log(t)
+    big_l = -float(stats._log(t))
     lo = 1.0
     hi = 1.0 + big_l
     s = 1.0
     for _ in range(2):
-        s = big_l - math.log1p(s)
+        s = big_l - float(stats._log(1.0 + s))
     s = min(max(s, lo), hi)
     for iterations in range(1, _NEWTON_MAX_ITER + 1):
         e1 = stats._e1_cf_scalar(s)
         ratio = e1 / t
-        step = math.log(ratio) * s * (e1 * math.exp(s))
+        step = float(stats._log(ratio)) * s * (e1 * float(stats._exp(s)))
         if abs(step) <= _NEWTON_TOL:
             return s, e1, iterations
         if ratio > 1.0:
@@ -402,9 +415,40 @@ def _invert_mark_cdf(u: np.ndarray, grid: np.ndarray, cdf: np.ndarray, mass: flo
 
 
 @lru_cache(maxsize=16)
-def _e1_at(epsilon: float) -> float:
-    """``exp_integral_e1(epsilon)``, computed once per truncation level."""
-    return exp_integral_e1(epsilon)
+def _e1_at(epsilon: float):
+    """``(E1(epsilon), ln epsilon)``, computed once per truncation level."""
+    return exp_integral_e1(epsilon), float(stats._log(epsilon))
+
+
+def _rejection_marks(rng: np.random.Generator, n: int, epsilon: float):
+    """n i.i.d. marks with density proportional to s^-1 e^-s on (epsilon, inf), and the rounds.
+
+    Each mark picks its branch once, below 1 with probability
+    ``(E1(epsilon) - E1(1)) / E1(epsilon)``.  Each round draws U, V for
+    every mark still open: below 1 it proposes ``s = epsilon^(1 - U)``
+    and accepts if ``ln V < epsilon - s``, at or above 1 it proposes
+    ``s = 1 - ln U`` and accepts if ``V s < 1``.
+    """
+    e1_eps, ln_eps = _e1_at(epsilon)
+    # mark i draws (branch, U, V) as uniforms 3i .. 3i + 2, so its first
+    # proposal does not depend on how many marks there are
+    branch, u, v = _uniforms_open(rng, (n, 3)).T
+    below = branch * e1_eps >= _E1_SERIES_AT_ONE
+    marks = np.empty(n)
+    live = np.arange(n)
+    rounds = 0
+    while live.size:
+        if rounds:
+            u, v = _uniforms_open(rng, (live.size, 2)).T
+        rounds += 1
+        low = below[live]
+        # one log for both branches: ln V decides below 1, ln U proposes above
+        log_w = stats._log(np.where(low, v, u))
+        s = np.where(low, stats._exp((1.0 - u) * ln_eps), 1.0 - log_w)
+        accept = np.where(low, log_w < epsilon - s, v * s < 1.0)
+        marks[live[accept]] = s[accept]
+        live = live[~accept]
+    return marks, rounds
 
 
 def sample_gamma(theta: float, lam: Window, epsilon: float, seed: int):
@@ -412,9 +456,10 @@ def sample_gamma(theta: float, lam: Window, epsilon: float, seed: int):
 
     The kept atoms form a Poisson process on (epsilon, inf) x window with
     intensity ``theta * s^-1 e^-s ds dx``: the count is Poisson with mean
-    ``theta * volume * E1(epsilon)`` and each mark inverts the truncated
-    tail.  The configuration of (mark, position) points is validated as
-    pinpointing and reflected to a measure.  The report carries the exact
+    ``theta * volume * E1(epsilon)`` and the marks are i.i.d. with density
+    proportional to ``s^-1 e^-s`` there, drawn by rejection.  The
+    configuration of (mark, position) points is validated as pinpointing
+    and reflected to a measure.  The report carries the exact
     expected discarded mass ``theta * volume * (1 - e^-epsilon)``.
 
     Returns
@@ -428,12 +473,10 @@ def sample_gamma(theta: float, lam: Window, epsilon: float, seed: int):
     seed = _require_seed(seed)
     vol = _require_sampling_window(lam)
 
-    e1_eps = _e1_at(epsilon)
-    n = _count(seed, theta * vol * e1_eps)
-    u = _uniforms_open(substream(seed, _STREAM_MARKS), n)
-    marks, iterations, residual = _invert_e1((1.0 - u) * e1_eps)
+    n = _count(seed, theta * vol * _e1_at(epsilon)[0])
+    marks, rounds = _rejection_marks(substream(seed, _STREAM_MARKS), n, epsilon)
     discarded = expected_truncation_error(theta, vol, epsilon)
-    gamma, report = _build(seed, lam, marks, epsilon, discarded, iterations, residual)
+    gamma, report = _build(seed, lam, marks, epsilon, discarded, rounds=rounds)
     return reflect(to_plato(gamma)), report
 
 
@@ -451,13 +494,14 @@ def sample_gamma_ordered(theta: float, lam: Window, n_jumps: int, seed: int):
     (DiscreteMeasure, SampleReport)
     """
     theta = _positive(theta, "theta", InvalidTheta)
-    n_jumps = _integer(n_jumps, "n_jumps")
+    n_jumps = _integer(n_jumps, "n_jumps", high=2**53)  # so float(n_jumps) is exact
     _require_count(float(n_jumps), "n_jumps")
     seed = _require_seed(seed)
     vol = _require_sampling_window(lam)
 
     u = _uniforms_open(substream(seed, _STREAM_MARKS), n_jumps)
-    arrivals = np.cumsum(-np.log1p(-u))
+    # -ln(1 - u), where 1 - u is exact: numpy's uniform doubles are multiples of 2^-53
+    arrivals = np.cumsum(-stats._log(1.0 - u))
     marks, iterations, residual = _invert_e1(arrivals / _require_finite(theta * vol, "expected window mass"))
     if np.any(np.diff(marks) >= 0.0):
         raise RuntimeError("ordered jumps failed to decrease strictly")

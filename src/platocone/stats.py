@@ -8,6 +8,9 @@ serve as independent oracles for the samplers:
   by the alternating power series for s < 1 and by the modified Lentz
   continued fraction for s >= 1.  Absolute error is below 1e-14 over the
   range exercised by the samplers.
+* ``_exp`` and ``_log``, the samplers' ``exp`` and ``log``, use only
+  ``+ - * /``, ``rint``, ``frexp`` and ``ldexp``, which IEEE arithmetic
+  rounds exactly, so their bits do not depend on numpy's CPU dispatch.
 * ``gamma_cdf`` evaluates the regularized lower incomplete gamma function
   by the classic series / continued-fraction pair, switching at
   x/scale = shape + 1.  Absolute error is below 1e-10.
@@ -45,6 +48,16 @@ _E1_SERIES_COEFFS = np.array(
     + [0.0]
 )
 
+# fdlibm's ln 2 = _LN2_HI + _LN2_LO: k * _LN2_HI is exact for |k| < 2**20
+_LN2_HI = 6.93147180369123816490e-01
+_LN2_LO = 1.90821492927058770002e-10
+_INV_LN2 = 1.44269504088896338700e00
+_SQRT_HALF = 0.7071067811865476
+# Taylor terms r^k / k! to k = 13: the rest is below 4e-18 for |r| <= ln(2) / 2
+_EXP_COEFFS = [1.0 / math.factorial(k) for k in range(13, -1, -1)]
+# (atanh(f) - f) / f^3 to f^16 / 19: the rest is below 3e-17 of atanh(f) for |f| < 0.172
+_ATANH_COEFFS = [1.0 / (2 * k + 1) for k in range(9, 0, -1)]
+
 
 @dataclass(frozen=True)
 class EmpiricalSample:
@@ -65,9 +78,46 @@ class EmpiricalSample:
         return len(self.values)
 
 
+def _horner(coeffs, x):
+    """The polynomial with ``coeffs`` (highest power first) at ``x``, elementwise."""
+    p = coeffs[0] * x + coeffs[1]
+    for c in coeffs[2:]:
+        p *= x
+        p += c
+    return p
+
+
+def _exp(x):
+    """e^x elementwise for x <= 709, within 1 ulp; 0.0 below about -745.
+
+    Cody-Waite: x = k ln 2 + r with k = rint(x / ln 2), |r| <= ln(2) / 2,
+    then ``ldexp(e^r, k)`` with e^r by its Taylor polynomial.
+    """
+    x = np.maximum(x, -1100.0)
+    k = np.rint(x * _INV_LN2)
+    r = (x - k * _LN2_HI) - k * _LN2_LO
+    return np.ldexp(_horner(_EXP_COEFFS, r), k.astype(int))
+
+
+def _log(x):
+    """ln x elementwise for positive finite x: within 2 ulp, 1 ulp if |ln x| > 1.
+
+    x = m 2^k with m in [sqrt(1/2), sqrt(2)), and ln x = k ln 2 + 2
+    atanh(f), f = (m - 1) / (m + 1), by its odd series; k ln 2 is added last.
+    """
+    m, k = np.frexp(x)
+    low = m < _SQRT_HALF
+    m = np.where(low, m + m, m)
+    k = k - low
+    f = (m - 1.0) / (m + 1.0)
+    z = f * f
+    atanh = f + f * z * _horner(_ATANH_COEFFS, z)
+    return k * _LN2_HI + (k * _LN2_LO + 2.0 * atanh)
+
+
 def _e1_series(s: np.ndarray) -> np.ndarray:
     # E1(s) = -gamma - ln s + sum_{k>=1} (-1)^{k+1} s^k / (k * k!), s < 1
-    return -_EULER_GAMMA - np.log(s) + np.polyval(_E1_SERIES_COEFFS, s)
+    return -_EULER_GAMMA - _log(s) + _horner(_E1_SERIES_COEFFS, s)
 
 
 def _lentz(t: float, shape: float) -> float:
@@ -97,7 +147,7 @@ def _lentz(t: float, shape: float) -> float:
 
 def _e1_cf_scalar(s: float) -> float:
     # E1(s) for s >= 1 by the continued fraction
-    return _lentz(s, 0.0) * math.exp(-s)
+    return float(_lentz(s, 0.0) * _exp(-s))
 
 
 def e1_array(s: np.ndarray) -> np.ndarray:

@@ -16,6 +16,7 @@ import pytest
 from platocone import (
     Configuration,
     DegenerateTable,
+    DimensionMismatch,
     EmpiricalSample,
     FiniteProduct,
     InvalidArgument,
@@ -47,6 +48,7 @@ from platocone import (
     sample_gamma_ordered,
     sample_poisson,
     weight_at,
+    zero_measure,
 )
 
 UNIT = Window((0.0,), (1.0,))
@@ -82,9 +84,15 @@ CASES = {
     "make_configuration mark": (lambda v: make_configuration([(v, (0.5,))], 1), NonPositiveMark, FINITE),
     "make_configuration coordinate": (lambda v: make_configuration([(1.0, (v,))], 1), InvalidArgument, FINITE),
     "Configuration marks": (lambda v: Configuration([v], [[0.5]]), NonPositiveMark, FINITE),
+    "make_configuration d": (lambda v: make_configuration([], v), InvalidArgument, INTEGER + [0]),
+    # with points, a d that is not their length is a dimension mismatch
+    "make_configuration d with points": (lambda v: make_configuration([(1.0, (0.5,))], v), DimensionMismatch, INTEGER),
     # cone
     "make_measure weight": (lambda v: make_measure([(v, (0.5,))], 1), NonPositiveWeight, FINITE),
     "make_measure coordinate": (lambda v: make_measure([(1.0, (v,))], 1), InvalidArgument, FINITE),
+    "make_measure d": (lambda v: make_measure([], v), InvalidArgument, INTEGER + [0]),
+    "make_measure d with points": (lambda v: make_measure([(1.0, (0.5,))], v), DimensionMismatch, INTEGER),
+    "zero_measure d": (zero_measure, InvalidArgument, INTEGER + [0, -1]),
     "DiscreteMeasure.scaled": (lambda v: MEASURE.scaled(v), InvalidArgument, FINITE),
     "weight_at": (lambda v: weight_at(MEASURE, (v,)), InvalidArgument, FINITE),
     # sampling
@@ -93,7 +101,10 @@ CASES = {
     "sample_gamma epsilon": (lambda v: sample_gamma(1.0, UNIT, v, 0), InvalidEpsilon, FINITE),
     "sample_gamma seed": (lambda v: sample_gamma(1.0, UNIT, 0.5, v), InvalidArgument, INTEGER),
     "sample_gamma_ordered theta": (lambda v: sample_gamma_ordered(v, UNIT, 3, 0), InvalidTheta, FINITE),
-    "sample_gamma_ordered n_jumps": (lambda v: sample_gamma_ordered(1.0, UNIT, v, 0), InvalidArgument, INTEGER),
+    # 10**400 is past the double range, where float(n_jumps) overflows
+    "sample_gamma_ordered n_jumps": (
+        lambda v: sample_gamma_ordered(1.0, UNIT, v, 0), InvalidArgument, INTEGER + [10**400]
+    ),
     "sample_poisson seed": (lambda v: sample_poisson(SPEC, UNIT, v), InvalidArgument, INTEGER),
     "expected_truncation_error theta": (lambda v: expected_truncation_error(v, 1.0, 0.5), InvalidTheta, FINITE),
     "expected_truncation_error volume": (lambda v: expected_truncation_error(1.0, v, 0.5), InvalidArgument, FINITE),

@@ -46,12 +46,12 @@ def test_sample_gamma_writes_expected_files(tmp_path):
     report = read_json(out / "gamma_seed7.report.json")
     assert set(report) == {
         "seed", "epsilon", "expected_discarded_mass", "atom_count",
-        "algorithm", "e1_iterations", "e1_residual",
+        "algorithm", "e1_iterations", "e1_residual", "rejection_rounds",
     }
     assert report["seed"] == 7
-    assert report["algorithm"] == 2
-    assert 1 <= report["e1_iterations"] <= 8
-    assert 0.0 <= report["e1_residual"] <= 1e-11
+    assert report["algorithm"] == 3
+    assert report["e1_iterations"] == 0 and report["e1_residual"] == 0.0
+    assert 1 <= report["rejection_rounds"] <= 10
 
 
 def test_sample_outputs_match_library_and_are_deterministic(tmp_path):

@@ -103,16 +103,16 @@ def test_file_io_round_trip(tmp_path):
 def test_report_serialization():
     report = SampleReport(
         seed=7, epsilon=1e-8, expected_discarded_mass=9.999999950000001e-09, atom_count=24,
-        algorithm=2, e1_iterations=5, e1_residual=1.25e-13,
+        algorithm=3, e1_iterations=0, e1_residual=0.0, rejection_rounds=2,
     )
     line = jsonl.serialize_report(report)
     assert line == (
         '{"seed":7,"epsilon":1e-08,"expected_discarded_mass":9.999999950000001e-09,"atom_count":24,'
-        '"algorithm":2,"e1_iterations":5,"e1_residual":1.25e-13}\n'
+        '"algorithm":3,"e1_iterations":0,"e1_residual":0.0,"rejection_rounds":2}\n'
     )
     no_eps = SampleReport(
         seed=1, epsilon=None, expected_discarded_mass=0.0, atom_count=3,
-        algorithm=2, e1_iterations=0, e1_residual=0.0,
+        algorithm=3, e1_iterations=5, e1_residual=1.25e-13, rejection_rounds=0,
     )
     assert '"epsilon":null' in jsonl.serialize_report(no_eps)
 

@@ -145,7 +145,7 @@ def test_sample_poisson_deterministic_and_valid():
     assert ra.epsilon is None
     assert ra.expected_discarded_mass == 0.0
     assert ra.atom_count == len(a)
-    assert (ra.algorithm, ra.e1_iterations, ra.e1_residual) == (2, 0, 0.0)
+    assert (ra.algorithm, ra.e1_iterations, ra.e1_residual, ra.rejection_rounds) == (3, 0, 0.0, 0)
 
 
 def test_sample_poisson_mark_mass():
@@ -299,19 +299,49 @@ def test_invert_e1_rejects_targets_outside_its_range():
         sample_gamma_ordered(1e300, Window((0.0,), (1e8,)), 3, 0)
 
 
+def reference_rejection_marks(seed, n, eps):
+    """The rejection marks of ``sample_gamma`` replayed one mark at a time.
+
+    The marks substream gives (branch, U, V) for each mark in turn, then
+    one (U, V) pair per round for each mark still open, in index order.
+    Returns the marks in draw order and the number of rounds.
+    """
+    rng = substream(seed, 1)
+    e1_eps, ln_eps = exp_integral_e1(eps), float(stats._log(eps))
+    first = rng.random((n, 3))
+    below = first[:, 0] * e1_eps >= exp_integral_e1(1.0)
+    draws = dict(enumerate(first[:, 1:].tolist()))
+    marks, rounds = [None] * n, 0
+    while draws:
+        rounds += 1
+        for i, (u, v) in list(draws.items()):
+            if below[i]:
+                s = float(stats._exp((1.0 - u) * ln_eps))
+                accepted = float(stats._log(v)) < eps - s
+            else:
+                s = 1.0 - float(stats._log(u))
+                accepted = v * s < 1.0
+            if accepted:
+                marks[i] = s
+                del draws[i]
+        draws = dict(zip(draws, rng.random((len(draws), 2)).tolist()))
+    return np.array(marks, dtype=float), rounds
+
+
 def test_sample_gamma_report_certifies_its_marks():
-    e1_eps = exp_integral_e1(1e-8)
-    for seed in range(20):
+    rounds = []
+    for seed in range(40):
         eta, report = sample_gamma(1.0, UNIT, 1e-8, seed)
-        assert report.algorithm == 2
-        u = substream(seed, 1).random(len(eta))
-        assert np.all(u > 0.0)
-        t = np.sort((1.0 - u) * e1_eps)
-        marks = np.sort(eta.marks)[::-1]
-        e1 = np.array([stats.e1_array(np.array([s]))[0] for s in marks])
-        assert report.e1_residual == np.max(np.abs(e1 / t - 1.0), initial=0.0)
-        assert (report.e1_iterations == 0) == (len(eta) == 0)
-        assert report.e1_iterations <= 8
+        n = len(eta)
+        assert (report.algorithm, report.e1_iterations, report.e1_residual) == (3, 0, 0.0)
+        marks, k = reference_rejection_marks(seed, n, 1e-8)
+        # the build sorts atoms by position; the positions keep their draw order
+        order = np.argsort(substream(seed, 2).random((n, 1))[:, 0], kind="stable")
+        assert eta.marks.tobytes() == marks[order].tobytes()
+        assert report.rejection_rounds == k and (k == 0) == (n == 0)
+        assert np.all(eta.marks > 1e-8)
+        rounds.append(k)
+    assert 1.0 < np.mean(rounds) < 3.0 and max(rounds) <= 10
 
 
 def test_count_and_position_substreams_are_untouched():
