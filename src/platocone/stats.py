@@ -9,8 +9,9 @@ serve as independent oracles for the samplers:
   continued fraction for s >= 1.  Absolute error is below 1e-14 over the
   range exercised by the samplers.
 * ``_exp`` and ``_log``, the samplers' ``exp`` and ``log``, use only
-  ``+ - * /``, ``rint``, ``frexp`` and ``ldexp``, which IEEE arithmetic
-  rounds exactly, so their bits do not depend on numpy's CPU dispatch.
+  ``+ - * /``, ``rint``, ``frexp`` and ``ldexp``, whose IEEE results are
+  exact or correctly rounded, so their bits do not depend on numpy's CPU
+  dispatch.
 * ``gamma_cdf`` evaluates the regularized lower incomplete gamma function
   by the classic series / continued-fraction pair, switching at
   x/scale = shape + 1.  Absolute error is below 1e-10.
@@ -166,7 +167,7 @@ def e1_array(s: np.ndarray) -> np.ndarray:
         # one scalar Lentz loop per element, so each value's bits do not
         # depend on the rest of the batch
         big = ~small
-        out[big] = [_e1_cf_scalar(v) for v in s[big].tolist()]
+        out[big] = [_lentz(v, 0.0) for v in s[big].tolist()] * _exp(-s[big])
     return out
 
 
