@@ -286,8 +286,9 @@ class TestFunction:
         """The values at the rows ``(marks[i], positions[i])`` as ``float64[n]``.
 
         Rows outside the support give 0.0.  Position functions ignore
-        ``marks``, which may be None.  Raises :class:`InvalidArgument`
-        once, after evaluating every row, if any value is not finite.
+        ``marks``, which may be None.  Raises :class:`InvalidArgument` on
+        a mark or coordinate that is not finite, and once, after
+        evaluating every row, if any value is not finite.
         """
         positions = _reals(positions, "positions")
         if positions.ndim != 2 or positions.shape[1] != self.dimension:
@@ -300,6 +301,8 @@ class TestFunction:
             marks = _reals(marks, "marks")
             if marks.shape != positions.shape[:1]:
                 raise InvalidArgument(f"expected {len(positions)} marks, got shape {marks.shape}")
+        if not (np.isfinite(positions).all() and (marks is None or np.isfinite(marks).all())):
+            raise InvalidArgument("marks and coordinates must be finite")
         inside = _inside(self.support, marks, positions)
         out = np.zeros(len(positions))
         out[inside] = self._form(None if marks is None else marks[inside], positions[inside])
@@ -394,6 +397,8 @@ def _first_unordered(marks: np.ndarray, positions: np.ndarray, with_mark: bool):
     mark.  On a canonical configuration, ``with_mark=False`` finds the
     first position shared by two points.
     """
+    if (positions[1:, 0] > positions[:-1, 0]).all():
+        return None  # a strictly increasing first coordinate orders the rows
     keys = np.column_stack((positions, marks)) if with_mark else positions
     prev, cur = keys[:-1], keys[1:]
     differ = prev != cur
@@ -574,6 +579,8 @@ def make_configuration(raw_points: Iterable, d: int) -> Configuration:
 
 
 def _mask(data, lam: Window) -> np.ndarray:
+    if not isinstance(lam, Window):
+        raise InvalidArgument(f"expected a Window, got {type(lam).__name__}")
     if data.dimension != lam.dimension:
         raise DimensionMismatch(f"data of dimension {data.dimension}, window of {lam.dimension}")
     return _inside(lam, data.marks, data.positions)

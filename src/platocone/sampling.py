@@ -27,14 +27,16 @@ Reproducibility contract: a sampler's output is a pure function of
 atom count of a run never depends on how many mark or position draws
 another part of the pipeline consumed.  All randomness reduces to
 uniform doubles from PCG64, the most version- and platform-stable part
-of the generator API.  Marks take ``exp`` and ``log`` from
-``stats._exp`` and ``stats._log``, so their bits do not depend on the
-CPU.  The ordered sampler inverts E1 by safeguarded Newton (bisection
-steps where Newton leaves the analytic bracket) to relative tolerance
-1e-12 on the mark; its report certifies the run with the largest
-iteration count and the worst E1 residual, and the threshold sampler's
-report counts its rejection rounds.  A mean atom count (or ``n_jumps``)
-above 10^7 is refused.
+of the generator API.  The marks substream has a fixed layout (see
+``_rejection_marks``); nothing reads it after the marks, so a sampler
+may draw past the last uniform it uses without moving a bit.  Marks take
+``exp`` and ``log`` from ``stats._exp`` and ``stats._log``, so their
+bits do not depend on the CPU.  The ordered sampler inverts E1 by
+safeguarded Newton (bisection steps where Newton leaves the analytic
+bracket) to relative tolerance 1e-12 on the mark; its report certifies
+the run with the largest iteration count and the worst E1 residual, and
+the threshold sampler's report counts its rejection rounds.  A mean atom
+count (or ``n_jumps``) above 10^7 is refused.
 
 The samplers share one tail: positions, the canonical build and the
 report.  A draw whose atoms repeat one another bit for bit would merge
@@ -187,6 +189,8 @@ def _require_seed(seed) -> int:
 
 
 def _require_sampling_window(lam: Window) -> float:
+    if not isinstance(lam, Window):
+        raise InvalidArgument(f"expected a Window, got {type(lam).__name__}")
     if lam.mark_interval is not None:
         raise InvalidArgument("sampling windows are spatial: no mark interval allowed")
     if not lam.is_bounded():
@@ -241,10 +245,9 @@ def _poisson_draw(rng: np.random.Generator, mean: float) -> int:
 def _uniforms_open(rng: np.random.Generator, n: int) -> np.ndarray:
     """n uniforms in the open interval (0, 1): zero draws are redrawn."""
     u = rng.random(n)
-    zero = u == 0.0
-    while np.any(zero):
-        u[zero] = rng.random(int(zero.sum()))
+    while not u.all():
         zero = u == 0.0
+        u[zero] = rng.random(int(zero.sum()))
     return u
 
 
@@ -427,25 +430,50 @@ def _rejection_marks(rng: np.random.Generator, n: int, epsilon: float):
     ``(E1(epsilon) - E1(1)) / E1(epsilon)``.  Each round draws U, V for
     every mark still open: below 1 it proposes ``s = epsilon^(1 - U)``
     and accepts if ``ln V < epsilon - s``, at or above 1 it proposes
-    ``s = 1 - ln U`` and accepts if ``V s < 1``.
+    ``s = 1 - ln U`` and accepts if ``V s < 1``.  The later rounds read
+    their uniforms from blocks of ``16 + n // 4`` or more drawn ahead,
+    so one ``_exp`` and one ``_log`` call serve most calls.
     """
     e1_eps, ln_eps = _e1_at(epsilon)
     # mark i draws (branch, U, V) as uniforms 3i .. 3i + 2, so its first
     # proposal does not depend on how many marks there are
     branch, u, v = _uniforms_open(rng, (n, 3)).T
     below = branch * e1_eps >= _E1_SERIES_AT_ONE
+    block = 16 + n // 4
+    ahead = rng.random(block)
+    # index i < n holds mark i's first round, n + j the j-th uniform drawn
+    # ahead; one log for both branches: ln V decides below 1, ln U proposes above
+    vs = np.concatenate((v, ahead))
+    exps = stats._exp((1.0 - np.concatenate((u, ahead))) * ln_eps)
+    logs = stats._log(np.concatenate((np.where(below, v, u), ahead)))
     marks = np.empty(n)
-    live = np.arange(n)
+    live = at_u = at_v = np.arange(n)
     rounds = 0
+    read = n
     while live.size:
         if rounds:
-            u, v = _uniforms_open(rng, (live.size, 2)).T
+            # one (U, V) pair per open mark, in index order; each pass gives
+            # every zero left the next unread uniform, as _uniforms_open does
+            at = np.arange(read, read + 2 * live.size)
+            read += at.size
+            while True:
+                if read > vs.size:
+                    more = rng.random(max(block, read - vs.size))
+                    vs = np.concatenate((vs, more))
+                    exps = np.concatenate((exps, stats._exp((1.0 - more) * ln_eps)))
+                    logs = np.concatenate((logs, stats._log(more)))
+                zero = vs[at] == 0.0
+                if not zero.any():
+                    break
+                k = int(zero.sum())
+                at[zero] = np.arange(read, read + k)
+                read += k
+            at_u, at_v = at[0::2], at[1::2]
         rounds += 1
         low = below[live]
-        # one log for both branches: ln V decides below 1, ln U proposes above
-        log_w = stats._log(np.where(low, v, u))
-        s = np.where(low, stats._exp((1.0 - u) * ln_eps), 1.0 - log_w)
-        accept = np.where(low, log_w < epsilon - s, v * s < 1.0)
+        log_w = logs[np.where(low, at_v, at_u)]
+        s = np.where(low, exps[at_u], 1.0 - log_w)
+        accept = np.where(low, log_w < epsilon - s, vs[at_v] * s < 1.0)
         marks[live[accept]] = s[accept]
         live = live[~accept]
     return marks, rounds

@@ -5,7 +5,8 @@ Each case names one argument, the call that takes it, the class the
 call raises for a bad value of the right type (a negative theta, a zero
 seed count, ...) and the probes: None, a non-numeric string, NaN and
 the infinities where a finite value is required; integer arguments also
-get a fraction and a numeric string.
+get a fraction and a numeric string.  Window arguments get objects that
+are not a ``Window``.
 """
 
 import json
@@ -32,6 +33,7 @@ from platocone import (
     Window,
     check_convergence,
     chi_square_independence,
+    count_in_window,
     exp_integral_e1,
     expected_truncation_error,
     gamma_cdf,
@@ -41,9 +43,11 @@ from platocone import (
     linear_combination,
     make_configuration,
     make_measure,
+    mass_in_window,
     merging_family,
     merging_limit,
     merging_sequence,
+    restrict,
     sample_gamma,
     sample_gamma_ordered,
     sample_poisson,
@@ -62,6 +66,7 @@ NOT_REAL = [None, "x"]
 REAL = NOT_REAL + [math.nan]  # a real number, infinities allowed
 FINITE = REAL + [math.inf, -math.inf]  # a finite (and often positive) real
 INTEGER = NOT_REAL + [2.7, "3", math.nan, math.inf]
+NOT_WINDOW = NOT_REAL + [(0.0, 1.0), 1.0]
 
 
 def _header(d):
@@ -79,7 +84,9 @@ CASES = {
     "Window bound": (lambda v: Window((v,), (1.0,)), InvalidArgument, REAL + [math.inf]),
     "Window mark interval": (lambda v: Window((0.0,), (1.0,), (v, 2.0)), InvalidArgument, FINITE),
     "TestFunction lipschitz": (lambda v: TestFunction(lambda s, x: 1.0, UNIT, v), InvalidArgument, FINITE[1:]),
-    "TestFunction.evaluate": (lambda v: HAT.evaluate([1.0], [[v]]), InvalidArgument, ["x"]),
+    # a non-finite row would read as outside the support and give 0.0
+    "TestFunction.evaluate": (lambda v: HAT.evaluate([1.0], [[v]]), InvalidArgument, FINITE),
+    "TestFunction.evaluate mark": (lambda v: HAT.evaluate([v], [[0.5]]), InvalidArgument, FINITE),
     "linear_combination coefficient": (lambda v: linear_combination([(v, HAT)]), InvalidArgument, NOT_REAL),
     "make_configuration mark": (lambda v: make_configuration([(v, (0.5,))], 1), NonPositiveMark, FINITE),
     "make_configuration coordinate": (lambda v: make_configuration([(1.0, (v,))], 1), InvalidArgument, FINITE),
@@ -87,7 +94,10 @@ CASES = {
     "make_configuration d": (lambda v: make_configuration([], v), InvalidArgument, INTEGER + [0]),
     # with points, a d that is not their length is a dimension mismatch
     "make_configuration d with points": (lambda v: make_configuration([(1.0, (0.5,))], v), DimensionMismatch, INTEGER),
+    "count_in_window window": (lambda v: count_in_window(GAMMA, v), InvalidArgument, NOT_WINDOW),
+    "restrict window": (lambda v: restrict(GAMMA, v), InvalidArgument, NOT_WINDOW),
     # cone
+    "mass_in_window window": (lambda v: mass_in_window(MEASURE, v), InvalidArgument, NOT_WINDOW),
     "make_measure weight": (lambda v: make_measure([(v, (0.5,))], 1), NonPositiveWeight, FINITE),
     "make_measure coordinate": (lambda v: make_measure([(1.0, (v,))], 1), InvalidArgument, FINITE),
     "make_measure d": (lambda v: make_measure([], v), InvalidArgument, INTEGER + [0]),
@@ -100,6 +110,9 @@ CASES = {
     "sample_gamma theta": (lambda v: sample_gamma(v, UNIT, 0.5, 0), InvalidTheta, FINITE),
     "sample_gamma epsilon": (lambda v: sample_gamma(1.0, UNIT, v, 0), InvalidEpsilon, FINITE),
     "sample_gamma seed": (lambda v: sample_gamma(1.0, UNIT, 0.5, v), InvalidArgument, INTEGER),
+    "sample_gamma window": (lambda v: sample_gamma(1.0, v, 1e-8, 0), InvalidArgument, NOT_WINDOW),
+    "sample_gamma_ordered window": (lambda v: sample_gamma_ordered(1.0, v, 3, 0), InvalidArgument, NOT_WINDOW),
+    "sample_poisson window": (lambda v: sample_poisson(SPEC, v, 0), InvalidArgument, NOT_WINDOW),
     "sample_gamma_ordered theta": (lambda v: sample_gamma_ordered(v, UNIT, 3, 0), InvalidTheta, FINITE),
     # 10**400 is past the double range, where float(n_jumps) overflows
     "sample_gamma_ordered n_jumps": (

@@ -205,6 +205,18 @@ def test_configuration_rejects_out_of_order_points():
         Configuration([1.0, 1.0], [[0.5], [0.1]])
     with pytest.raises(NotCanonical):
         Configuration([1.0, 1.0], [[0.5], [0.5]])
+    # a strictly increasing first coordinate orders the rows, whatever follows it
+    assert len(Configuration([2.0, 1.0], [[0.1, 0.9], [0.2, 0.1]])) == 2
+    # a tie there leaves the order to the next coordinates, then to the mark
+    assert len(Configuration([2.0, 1.0, 3.0], [[0.1, 0.9], [0.2, 0.1], [0.2, 0.1]])) == 3
+    for marks, positions, index in [
+        ([1.0, 1.0, 1.0], [[0.1, 0.5], [0.2, 0.5], [0.2, 0.4]], 2),
+        ([1.0, 3.0, 2.0], [[0.1, 0.5], [0.2, 0.5], [0.2, 0.5]], 2),
+        ([1.0, 1.0, 1.0], [[0.3, 0.5], [0.2, 0.5], [0.4, 0.4]], 1),
+    ]:
+        with pytest.raises(NotCanonical) as err:
+            Configuration(marks, positions)
+        assert err.value.index == index
 
 
 def test_kernels_match_a_sequential_reference_loop():

@@ -33,6 +33,7 @@ from platocone.sampling import (
     _NEWTON_MAX_ITER,
     _invert_e1,
     _poisson_draw,
+    _rejection_marks,
     substream,
 )
 
@@ -299,32 +300,49 @@ def test_invert_e1_rejects_targets_outside_its_range():
         sample_gamma_ordered(1e300, Window((0.0,), (1e8,)), 3, 0)
 
 
-def reference_rejection_marks(seed, n, eps):
+def open_uniforms(rng, count):
+    """``count`` uniforms in (0, 1): each pass gives every zero left, in
+    index order, the next draw of the stream, until no zero is left."""
+    u = rng.random(count).tolist()
+    while 0.0 in u:
+        zeros = [i for i, x in enumerate(u) if x == 0.0]
+        for i, x in zip(zeros, rng.random(len(zeros)).tolist()):
+            u[i] = x
+    return u
+
+
+def reference_rejection_marks(seed, n, eps, rng=None):
     """The rejection marks of ``sample_gamma`` replayed one mark at a time.
 
-    The marks substream gives (branch, U, V) for each mark in turn, then
-    one (U, V) pair per round for each mark still open, in index order.
-    Returns the marks in draw order and the number of rounds.
+    The marks substream (or ``rng``) gives (branch, U, V) for each mark
+    in turn, then one (U, V) pair per round for each mark still open, in
+    index order; the zeros of each of these blocks are redrawn by
+    :func:`open_uniforms`.  Returns the marks in draw order and the
+    number of rounds.
     """
-    rng = substream(seed, 1)
-    e1_eps, ln_eps = exp_integral_e1(eps), float(stats._log(eps))
-    first = rng.random((n, 3))
-    below = first[:, 0] * e1_eps >= exp_integral_e1(1.0)
-    draws = dict(enumerate(first[:, 1:].tolist()))
+    rng = substream(seed, 1) if rng is None else rng
+    e1_eps, e1_one, ln_eps = exp_integral_e1(eps), exp_integral_e1(1.0), float(stats._log(eps))
+    first = open_uniforms(rng, 3 * n)
+    below = [b * e1_eps >= e1_one for b in first[0::3]]
+    draws = dict(enumerate(zip(first[1::3], first[2::3])))
     marks, rounds = [None] * n, 0
     while draws:
         rounds += 1
-        for i, (u, v) in list(draws.items()):
+        u, v = np.array(list(draws.values())).T
+        # the kernels are elementwise: one call per round gives each value its own bits
+        exp_u, log_u, log_v = (k.tolist() for k in (stats._exp((1.0 - u) * ln_eps), stats._log(u), stats._log(v)))
+        for j, i in enumerate(list(draws)):
             if below[i]:
-                s = float(stats._exp((1.0 - u) * ln_eps))
-                accepted = float(stats._log(v)) < eps - s
+                s = exp_u[j]
+                accepted = log_v[j] < eps - s
             else:
-                s = 1.0 - float(stats._log(u))
-                accepted = v * s < 1.0
+                s = 1.0 - log_u[j]
+                accepted = v[j] * s < 1.0
             if accepted:
                 marks[i] = s
                 del draws[i]
-        draws = dict(zip(draws, rng.random((len(draws), 2)).tolist()))
+        pairs = open_uniforms(rng, 2 * len(draws))
+        draws = dict(zip(draws, zip(pairs[0::2], pairs[1::2])))
     return np.array(marks, dtype=float), rounds
 
 
@@ -342,6 +360,69 @@ def test_sample_gamma_report_certifies_its_marks():
         assert np.all(eta.marks > 1e-8)
         rounds.append(k)
     assert 1.0 < np.mean(rounds) < 3.0 and max(rounds) <= 10
+
+
+class RecordedDraws:
+    """A generator's ``random`` that records the size of each draw."""
+
+    def __init__(self, rng):
+        self.rng, self.sizes = rng, []
+
+    def random(self, size):
+        self.sizes.append(size)
+        return self.rng.random(size)
+
+
+class PreparedUniforms:
+    """Yields a prepared array of uniforms, in order, as ``random`` draws."""
+
+    def __init__(self, values):
+        self.values, self.used = np.asarray(values, dtype=float), 0
+
+    def random(self, size):
+        k = int(np.prod(size))
+        if self.used + k > self.values.size:
+            raise IndexError("prepared uniforms exhausted")
+        out = self.values[self.used : self.used + k].reshape(size)
+        self.used += k
+        return out.copy()
+
+
+def assert_same_marks(rng, reference_rng, n, eps):
+    marks, rounds = _rejection_marks(rng, n, eps)
+    expected, k = reference_rejection_marks(None, n, eps, reference_rng)
+    assert marks.tobytes() == expected.tobytes() and rounds == k, (n, eps)
+    return rounds
+
+
+def test_rejection_rounds_read_ahead_with_the_bits_of_one_draw_per_round():
+    ran_out = set()
+    for eps in (1e-8, 1e-2, 0.5):
+        for n in (0, 1, 5, 18, 200, 3000):
+            for seed in range(20 if n < 1000 else 3):
+                rng = RecordedDraws(substream(seed, 1))
+                rounds = assert_same_marks(rng, substream(seed, 1), n, eps)
+                # beyond the first round's block and the block drawn ahead
+                if len(rng.sizes) > 2:
+                    ran_out.add(eps)
+                assert (rounds == 0) == (n == 0)
+    assert ran_out == {1e-2, 0.5}
+
+
+def test_zero_uniforms_are_redrawn_where_one_draw_per_round_redraws_them():
+    n = 200
+    values = np.random.default_rng(7).random(200_000)
+    # the first block: a zero whose redraw is zero too
+    values[[4, 3 * n]] = 0.0
+    # from there on, two zeros in every three uniforms: every round of
+    # every block, and the rounds across the ends of the blocks drawn
+    # ahead, meet zeros and redraws of zeros
+    after = np.arange(3 * n + 1, values.size)
+    values[after[after % 3 != 0]] = 0.0
+    for eps in (1e-2, 0.5):
+        rng = RecordedDraws(PreparedUniforms(values))
+        rounds = assert_same_marks(rng, PreparedUniforms(values), n, eps)
+        assert rounds > 2 and len(rng.sizes) > 4, (eps, rounds, rng.sizes)
 
 
 def test_count_and_position_substreams_are_untouched():
