@@ -434,6 +434,8 @@ def _rejection_marks(rng: np.random.Generator, n: int, epsilon: float):
     their uniforms from blocks of ``16 + n // 4`` or more drawn ahead,
     so one ``_exp`` and one ``_log`` call serve most calls.
     """
+    if not n:
+        return np.empty(0), 0
     e1_eps, ln_eps = _e1_at(epsilon)
     # mark i draws (branch, U, V) as uniforms 3i .. 3i + 2, so its first
     # proposal does not depend on how many marks there are

@@ -28,8 +28,8 @@ import pytest
 from platocone import (
     EmpiricalSample,
     Window,
-    exp_integral_e1,
     chi_square_independence,
+    exp_integral_e1,
     gamma_cdf,
     ks_statistic,
     mass_in_window,

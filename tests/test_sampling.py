@@ -330,7 +330,8 @@ def reference_rejection_marks(seed, n, eps, rng=None):
         rounds += 1
         u, v = np.array(list(draws.values())).T
         # the kernels are elementwise: one call per round gives each value its own bits
-        exp_u, log_u, log_v = (k.tolist() for k in (stats._exp((1.0 - u) * ln_eps), stats._log(u), stats._log(v)))
+        exp_u, log_u, log_v = stats._exp((1.0 - u) * ln_eps).tolist(), stats._log(u).tolist(), stats._log(v).tolist()
+        v = v.tolist()
         for j, i in enumerate(list(draws)):
             if below[i]:
                 s = exp_u[j]
