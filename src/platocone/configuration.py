@@ -46,6 +46,7 @@ from .errors import (
     _integer,
     _positive,
     _real,
+    _real_pair,
     _reals,
 )
 
@@ -117,7 +118,7 @@ class Window:
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", hi)
         if self.mark_interval is not None:
-            a, b = (_real(v, "mark interval bound") for v in self.mark_interval)
+            a, b = _real_pair(self.mark_interval, "mark interval")
             if not 0.0 <= a < b:
                 raise InvalidArgument(f"mark interval must satisfy 0 <= a < b, got ({a}, {b}]")
             object.__setattr__(self, "mark_interval", (a, b))
@@ -262,6 +263,8 @@ class TestFunction:
     _form: Callable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if not (callable(self.evaluator) and isinstance(self.support, Window)):
+            raise InvalidArgument("a test function needs a callable evaluator and a Window support")
         if self.domain not in (_PHASE, _SPACE):
             raise InvalidArgument(f"domain must be 'phase' or 'space', got {self.domain!r}")
         if self.lipschitz is not None:
@@ -546,9 +549,13 @@ def _rows(raw, d: int):
     ``DimensionMismatch``)."""
     values, coords = [], []
     for item in raw:
-        v, x = (item.mark, item.position) if isinstance(item, MarkedPoint) else item
-        if len(x) != d:
-            raise DimensionMismatch(f"position {list(x)} has {len(x)} coordinates, expected {d}")
+        try:
+            v, x = (item.mark, item.position) if isinstance(item, MarkedPoint) else item
+            n = len(x)
+        except (TypeError, ValueError):
+            raise InvalidArgument(f"point {item!r} is not a (value, position) pair") from None
+        if n != d:
+            raise DimensionMismatch(f"position {list(x)} has {n} coordinates, expected {d}")
         values.append(v)
         coords.append(x)
     return values, coords or np.empty((0, _integer(d, "d")))

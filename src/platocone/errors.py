@@ -108,6 +108,15 @@ def _reals(values, name: str, error=InvalidArgument) -> np.ndarray:
         raise error(f"{name} must be an array of real numbers") from None
 
 
+def _real_pair(values, name: str) -> tuple:
+    """Two reals ``(a, b)``, each a ``NAME bound``."""
+    try:
+        a, b = values
+    except (TypeError, ValueError):
+        raise InvalidArgument(f"{name} must be a pair (a, b), got {values!r}") from None
+    return _real(a, f"{name} bound"), _real(b, f"{name} bound")
+
+
 def _positive(value, name: str, error=InvalidArgument) -> float:
     """A positive finite real."""
     v = _real(value, name, error)

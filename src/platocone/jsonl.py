@@ -76,13 +76,18 @@ def serialize(obj) -> str:
     return header + "\n" + record * len(obj.marks) % tuple(values)
 
 
-def _parse_record(line: str, lineno: int, value_key: str, d: int):
+def _loads(line: str, what: str):
+    """``json.loads(line)``; a failure is a :class:`JsonlFormatError` ``WHAT (reason)``."""
     try:
-        rec = json.loads(line)
+        return json.loads(line)
     except ValueError as exc:  # JSONDecodeError, or an integer past int()'s digit limit
-        raise JsonlFormatError(f"line {lineno}: invalid JSON ({getattr(exc, 'msg', exc)})") from exc
+        raise JsonlFormatError(f"{what} ({getattr(exc, 'msg', exc)})") from exc
     except RecursionError:
-        raise JsonlFormatError(f"line {lineno}: invalid JSON ({_TOO_DEEP})") from None
+        raise JsonlFormatError(f"{what} ({_TOO_DEEP})") from None
+
+
+def _parse_record(line: str, lineno: int, value_key: str, d: int):
+    rec = _loads(line, f"line {lineno}: invalid JSON")
     if not isinstance(rec, dict) or set(rec) != {value_key, "x"}:
         raise JsonlFormatError(f"line {lineno}: expected keys {{{value_key!r}, 'x'}}")
     value, x = rec[value_key], rec["x"]
@@ -144,12 +149,7 @@ def parse(text: str):
     lines = text.splitlines()
     if not lines:
         raise JsonlFormatError("empty input: missing header line")
-    try:
-        header = json.loads(lines[0])
-    except ValueError as exc:
-        raise JsonlFormatError(f"invalid JSON header ({getattr(exc, 'msg', exc)})") from exc
-    except RecursionError:
-        raise JsonlFormatError(f"invalid JSON header ({_TOO_DEEP})") from None
+    header = _loads(lines[0], "invalid JSON header")
     if not isinstance(header, dict) or set(header) != {"d", "kind"}:
         raise JsonlFormatError("header must be exactly {\"d\": <int>, \"kind\": <kind>}")
     d = _integer(header["d"], "header 'd'", error=JsonlFormatError)

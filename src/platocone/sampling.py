@@ -350,8 +350,9 @@ def _invert_e1(targets: np.ndarray):
     Safeguarded Newton (a step that leaves the analytic bracket is
     replaced by a bisection step) to relative tolerance 1e-12 on s: an
     evaluated iterate is returned once its Newton step is at most 5e-13.
-    Roots below 1 (the bulk, for small truncation thresholds) iterate as
-    one vectorized loop on ln s against the power series, so the step
+    The one caller, ``sample_gamma_ordered``, passes arrival times over
+    theta * volume.  Roots below 1 (targets above E1(1) ~ 0.219) iterate
+    as one vectorized loop on ln s against the power series, so the step
     bound is relative; roots at or above 1 iterate one by one in s
     against the continued fraction, where the absolute bound is the
     stricter one and keeps the E1 residual near 1e-12 even at s ~ 700.

@@ -45,7 +45,7 @@ from .configuration import (
     make_configuration,
 )
 from .cone import DiscreteMeasure
-from .errors import DimensionMismatch, EqualMarks, InvalidArgument, NonPositiveMark, _integer, _positive, _real
+from .errors import DimensionMismatch, EqualMarks, InvalidArgument, NonPositiveMark, _integer, _positive, _real, _real_pair
 from .plato import reflect_inverse
 
 # slack for the "non-increasing tail" check; absorbs last-bit wobble in
@@ -68,21 +68,23 @@ class TestFamily:
     weights: tuple = ()
 
     def __post_init__(self):
-        fns = tuple(self.functions)
+        try:
+            fns, weights = tuple(self.functions), tuple(self.weights)
+        except TypeError:
+            raise InvalidArgument("family functions and weights must be sequences") from None
         if not fns:
             raise InvalidArgument("test family must be nonempty")
-        d = fns[0].dimension
         for fn in fns:
             if not isinstance(fn, TestFunction) or fn.domain != "phase":
                 raise InvalidArgument("family members must be phase-domain test functions")
-            if fn.dimension != d:
+            if fn.dimension != fns[0].dimension:
                 raise DimensionMismatch("family members must share one dimension")
             bounded_marks = fn.support.mark_interval is not None and math.isfinite(
                 fn.support.mark_interval[1]
             )
             if not (fn.support.is_bounded() and bounded_marks):
                 raise InvalidArgument("family members must have bounded support")
-        weights = tuple(_positive(w, "family weight") for w in self.weights) or (1.0,) * len(fns)
+        weights = tuple(_positive(w, "family weight") for w in weights) or (1.0,) * len(fns)
         if len(weights) != len(fns):
             raise InvalidArgument("one weight per family member required")
         object.__setattr__(self, "functions", fns)
@@ -318,13 +320,13 @@ def hat_family(
     adjacent hats overlap and the family has no blind spots inside the
     window.  The mark axis is covered the same way over ``mark_interval``.
     """
-    if not window.is_bounded():
+    if not (isinstance(window, Window) and window.is_bounded()):
         raise InvalidArgument("hat_family requires a bounded window")
     d = window.dimension
     shape = tuple(_integer(g, "grid_shape entry") for g in grid_shape)
     if len(shape) != d:
         raise InvalidArgument("grid_shape needs one cell count per axis")
-    a, b = (_real(v, "mark_interval bound") for v in mark_interval)
+    a, b = _real_pair(mark_interval, "mark_interval")
     if not 0.0 <= a < b < math.inf:
         raise InvalidArgument("mark_interval must satisfy 0 <= a < b < inf")
     mark_cells = _integer(mark_cells, "mark_cells")

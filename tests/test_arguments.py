@@ -6,7 +6,8 @@ call raises for a bad value of the right type (a negative theta, a zero
 seed count, ...) and the probes: None, a non-numeric string, NaN and
 the infinities where a finite value is required; integer arguments also
 get a fraction and a numeric string.  Window arguments get objects that
-are not a ``Window``.
+are not a ``Window``; pairs, points and sequences get objects of the
+wrong shape or no sequence at all.
 """
 
 import json
@@ -39,6 +40,7 @@ from platocone import (
     gamma_cdf,
     hat_family,
     hat_function,
+    indicator,
     jsonl,
     linear_combination,
     make_configuration,
@@ -67,6 +69,8 @@ REAL = NOT_REAL + [math.nan]  # a real number, infinities allowed
 FINITE = REAL + [math.inf, -math.inf]  # a finite (and often positive) real
 INTEGER = NOT_REAL + [2.7, "3", math.nan, math.inf]
 NOT_WINDOW = NOT_REAL + [(0.0, 1.0), 1.0]
+NOT_PAIR = [None, 1.0, (1.0,), (1.0, 2.0, 3.0)]
+NOT_POINT = NOT_PAIR + [(1.0, 0.5), (1.0, (0.5,), 3)]
 
 
 def _header(d):
@@ -83,6 +87,10 @@ CASES = {
     "MarkedPoint coordinate": (lambda v: MarkedPoint(1.0, (v,)), InvalidArgument, FINITE),
     "Window bound": (lambda v: Window((v,), (1.0,)), InvalidArgument, REAL + [math.inf]),
     "Window mark interval": (lambda v: Window((0.0,), (1.0,), (v, 2.0)), InvalidArgument, FINITE),
+    "Window mark interval pair": (lambda v: Window((0.0,), (1.0,), v), InvalidArgument, NOT_PAIR[1:] + ["x"]),
+    "TestFunction support": (lambda v: TestFunction(lambda s, x: 1.0, v), InvalidArgument, NOT_WINDOW),
+    "TestFunction evaluator": (lambda v: TestFunction(v, UNIT), InvalidArgument, NOT_REAL + [1.0]),
+    "indicator support": (indicator, InvalidArgument, NOT_WINDOW),
     "TestFunction lipschitz": (lambda v: TestFunction(lambda s, x: 1.0, UNIT, v), InvalidArgument, FINITE[1:]),
     # a non-finite row would read as outside the support and give 0.0
     "TestFunction.evaluate": (lambda v: HAT.evaluate([1.0], [[v]]), InvalidArgument, FINITE),
@@ -91,6 +99,7 @@ CASES = {
     "make_configuration mark": (lambda v: make_configuration([(v, (0.5,))], 1), NonPositiveMark, FINITE),
     "make_configuration coordinate": (lambda v: make_configuration([(1.0, (v,))], 1), InvalidArgument, FINITE),
     "Configuration marks": (lambda v: Configuration([v], [[0.5]]), NonPositiveMark, FINITE),
+    "make_configuration point": (lambda v: make_configuration([v], 1), InvalidArgument, NOT_POINT),
     "make_configuration d": (lambda v: make_configuration([], v), InvalidArgument, INTEGER + [0]),
     # with points, a d that is not their length is a dimension mismatch
     "make_configuration d with points": (lambda v: make_configuration([(1.0, (0.5,))], v), DimensionMismatch, INTEGER),
@@ -100,6 +109,7 @@ CASES = {
     "mass_in_window window": (lambda v: mass_in_window(MEASURE, v), InvalidArgument, NOT_WINDOW),
     "make_measure weight": (lambda v: make_measure([(v, (0.5,))], 1), NonPositiveWeight, FINITE),
     "make_measure coordinate": (lambda v: make_measure([(1.0, (v,))], 1), InvalidArgument, FINITE),
+    "make_measure point": (lambda v: make_measure([v], 1), InvalidArgument, NOT_POINT),
     "make_measure d": (lambda v: make_measure([], v), InvalidArgument, INTEGER + [0]),
     "make_measure d with points": (lambda v: make_measure([(1.0, (0.5,))], v), DimensionMismatch, INTEGER),
     "zero_measure d": (zero_measure, InvalidArgument, INTEGER + [0, -1]),
@@ -133,6 +143,8 @@ CASES = {
     ),
     # topology
     "TestFamily weight": (lambda v: TestFamily((HAT,), (v,)), InvalidArgument, FINITE),
+    "TestFamily functions": (TestFamily, InvalidArgument, NOT_WINDOW),
+    "TestFamily weights": (lambda v: TestFamily((HAT,), v), InvalidArgument, NOT_WINDOW),
     "merging_sequence mark": (lambda v: merging_sequence((0.0,), v, 2.0, 3), NonPositiveMark, FINITE),
     "merging_sequence n": (lambda v: merging_sequence((0.0,), 1.0, 2.0, v), InvalidArgument, INTEGER),
     "merging_sequence x0": (lambda v: merging_sequence((v,), 1.0, 2.0, 3), InvalidArgument, FINITE),
@@ -147,7 +159,9 @@ CASES = {
         lambda v: hat_function((0.5,), 0.5, mark_center=1.0, mark_half_width=v), InvalidArgument, FINITE[1:]
     ),
     "hat_family grid_shape": (lambda v: hat_family(UNIT, (v,), (0.0, 1.0)), InvalidArgument, INTEGER),
+    "hat_family window": (lambda v: hat_family(v, (2,), (0.0, 1.0)), InvalidArgument, NOT_WINDOW),
     "hat_family mark_interval": (lambda v: hat_family(UNIT, (2,), (0.0, v)), InvalidArgument, FINITE),
+    "hat_family mark_interval pair": (lambda v: hat_family(UNIT, (2,), v), InvalidArgument, NOT_PAIR),
     "hat_family mark_cells": (lambda v: hat_family(UNIT, (2,), (0.0, 1.0), v), InvalidArgument, INTEGER),
     # jsonl
     "jsonl header d": (_header, JsonlFormatError, INTEGER),

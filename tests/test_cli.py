@@ -306,6 +306,131 @@ def test_converge_from_files(tmp_path, capsys):
     assert report["limit_pinpointing"] is False
 
 
+def test_converge_limit_goes_with_in(tmp_path, capsys):
+    out, missing = tmp_path / "scan.json", str(tmp_path / "nonexistent.jsonl")
+    assert run(["converge", "--limit", missing, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "platocone: error: converge --limit requires --in\n"
+    assert run(["converge", "--in", "--limit", missing, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.endswith("\nplatocone converge: error: argument --in: expected at least one argument\n")
+    assert not out.exists()
+
+
+_GAMMA = ["sample", "gamma", "--theta", "1", "--epsilon", "0.5"]
+_POISSON = ["sample", "poisson", "--window", "0,1", "--out"]
+_STATS = ["--theta", "1", "--epsilon", "0.5"]
+# Every failure route of the command line's own checks: argv, exit code and
+# the one stderr line after "platocone: error: ".  In argv and message, TMP
+# is the test's directory and M, C, C2, G, P, F, D, X and O are the paths
+# made by ``_route_files``; O is never written.
+FAILURE_ROUTES = {
+    "window-not-numbers": (_GAMMA + ["--window", "a,b", "--out", "O"], 2,
+                           "--window expects comma-separated numbers, got 'a,b'"),
+    "window-empty": (_GAMMA + ["--window", "", "--out", "O"], 2, "--window expects comma-separated numbers, got ''"),
+    "window-odd": (["restrict", "--in", "M", "--window", "0,1,2", "--out", "O"], 2,
+                   "--window expects pairs lo1,hi1[,lo2,hi2,...]"),
+    "window-reversed": (["stats", "--in", "M", "--window", "1,0", *_STATS], 2,
+                        "invalid --window/--mark-interval: window requires lower < upper per axis, got [1.0, 0.0)"),
+    "window-nan": (["pair", "--in", "M", "--window", "0,nan"], 2,
+                   "invalid --window/--mark-interval: window requires lower < upper per axis, got [0.0, nan)"),
+    "mark-interval-one": (["restrict", "--in", "M", "--window", "0,1", "--mark-interval", "1", "--out", "O"], 2,
+                          "--mark-interval expects a,b"),
+    "mark-interval-three": (["restrict", "--in", "M", "--window", "0,1", "--mark-interval", "1,2,3", "--out", "O"],
+                            2, "--mark-interval expects a,b"),
+    "mark-interval-not-numbers": (["pair", "--in", "M", "--window", "0,1", "--mark-interval", "a,b"], 2,
+                                  "--mark-interval expects comma-separated numbers, got 'a,b'"),
+    "mark-interval-reversed": (["restrict", "--in", "M", "--window", "0,1", "--mark-interval", "2,1", "--out", "O"],
+                               2, "invalid --window/--mark-interval: mark interval must satisfy 0 <= a < b, got (2.0, 1.0]"),
+    "hat-without-mark-interval": (["pair", "--in", "M", "--window", "0,1", "--fn", "hat"], 2,
+                                  "--fn hat requires --mark-interval"),
+    "x0-not-numbers": (["converge", "--x0", "abc"], 2, "--x0 expects comma-separated numbers, got 'abc'"),
+    "x0-empty": (["converge", "--x0", ""], 2, "--x0 expects comma-separated numbers, got ''"),
+    "x0-nan": (["converge", "--x0", "0.5,nan"], 2, "coordinate must be finite, got nan"),
+    "dim-window-sample": (_GAMMA + ["--dim", "2", "--window", "0,1", "--out", "O"], 2,
+                          "--dim 2 contradicts --window with 1 axes"),
+    "dim-window-restrict": (["restrict", "--in", "M", "--dim", "2", "--window", "0,1", "--out", "O"], 2,
+                            "--dim 2 contradicts --window with 1 axes"),
+    "dim-x0": (["converge", "--dim", "2"], 2, "--dim 2 contradicts --x0 with 1 coordinates"),
+    "dim-limit": (["converge", "--in", "C", "--limit", "C", "--dim", "2"], 2, "TMP/c.jsonl has dimension 1, expected 2"),
+    "dim-input-vs-limit": (["converge", "--in", "C2", "--limit", "C"], 2, "TMP/c2.jsonl has dimension 2, expected 1"),
+    "seed-env-word": (["PLATO_CONE_SEED=abc", *_POISSON, "O"], 2, "PLATO_CONE_SEED must be an integer, got 'abc'"),
+    "seed-env-float": (["PLATO_CONE_SEED=1.5", *_POISSON, "O"], 2, "PLATO_CONE_SEED must be an integer, got '1.5'"),
+    "input-missing": (["reflect", "--in", "X", "--out", "O"], 3,
+                      "cannot read TMP/missing.jsonl: [Errno 2] No such file or directory: 'TMP/missing.jsonl'"),
+    "input-garbled": (["reflect", "--in", "G", "--out", "O"], 3,
+                      "cannot read TMP/g.jsonl: invalid JSON header (Expecting value)"),
+    "input-directory": (["restrict", "--in", "D", "--window", "0,1", "--out", "O"], 3,
+                        "cannot read TMP/adir: [Errno 21] Is a directory: 'TMP/adir'"),
+    "input-plato-duplicate": (["reflect", "--in", "P", "--out", "O"], 2, "duplicate position [0.5] in configuration"),
+    "stats-garbled-second": (["stats", "--in", "M", "G", "--window", "0,1", *_STATS], 3,
+                             "cannot read TMP/g.jsonl: invalid JSON header (Expecting value)"),
+    "stats-configuration": (["stats", "--in", "C", "--window", "0,1", *_STATS], 2,
+                            "TMP/c.jsonl: stats expects a measure file, got a configuration"),
+    "converge-measure-input": (["converge", "--in", "M", "--limit", "C"], 2,
+                               "TMP/m.jsonl: converge expects configuration inputs"),
+    "converge-measure-limit": (["converge", "--in", "C", "--limit", "M"], 2,
+                               "TMP/m.jsonl: converge expects configuration inputs"),
+    "converge-in-without-limit": (["converge", "--in", "C"], 2, "converge with --in requires --limit"),
+    "out-unwritable-reflect": (["reflect", "--in", "M", "--out", "O"], 3,
+                               "cannot write TMP/nodir/o: [Errno 2] No such file or directory: 'TMP/nodir/o'"),
+    "out-unwritable-pair": (["pair", "--in", "M", "--window", "0,1", "--out", "O"], 3,
+                            "cannot write TMP/nodir/o: [Errno 2] No such file or directory: 'TMP/nodir/o'"),
+    "out-under-a-file": ([*_POISSON, "TMP/afile/sub"], 3,
+                         "cannot create TMP/afile/sub: [Errno 20] Not a directory: 'TMP/afile/sub'"),
+    "out-is-a-file": ([*_POISSON, "F"], 3, "cannot create TMP/afile: [Errno 17] File exists: 'TMP/afile'"),
+    "out-empty": (["reflect", "--in", "M", "--out", ""], 2, "--out must not be empty"),
+    "sample-without-theta": (["sample", "gamma", "--window", "0,1", "--epsilon", "0.5", "--out", "O"], 2,
+                             "sample gamma requires --theta and --epsilon"),
+    "sample-ordered-without-jumps": (["sample", "gamma-ordered", "--window", "0,1", "--theta", "1", "--out", "O"], 2,
+                                     "sample gamma-ordered requires --theta and --n-jumps"),
+    "sample-count-zero": (["sample", "poisson", "--window", "0,1", "--count", "0", "--out", "O"], 2,
+                          "--count must be >= 1, got 0"),
+    "sample-theta-negative": (["sample", "gamma", "--window", "0,1", "--theta", "-1", "--epsilon", "0.5", "--out", "O"],
+                              2, "--theta must be positive, got -1.0"),
+    "stats-theta-zero": (["stats", "--in", "M", "--window", "0,1", "--theta", "0", "--epsilon", "0.5"], 2,
+                         "--theta must be positive, got 0.0"),
+    "stats-epsilon-one": (["stats", "--in", "M", "--window", "0,1", "--theta", "1", "--epsilon", "1"], 2,
+                          "--epsilon must lie in (0, 1), got 1.0"),
+    "stats-gamma-shape-too-large": (["stats", "--in", "M", "--window", "0,1", "--theta", "1e308", "--epsilon", "0.1"],
+                                    2, "gamma_cdf shape 1e+308 is too large: ln Gamma(shape) overflows"),
+    "stats-expected-count-overflows": (
+        ["stats", "--in", "M", "--window", "0,1", "--theta", "2.5e305", "--epsilon", "5e-324"], 2,
+        "expected atom count theta * volume * E1(epsilon) overflows a double: inf",
+    ),
+    "converge-equal-marks": (["converge", "--s1", "1", "--s2", "1"], 2, "--s1 and --s2 must differ, got 1.0"),
+    "converge-negative-mark": (["converge", "--s1", "-1"], 2, "-1.0 is not a positive finite real"),
+}
+
+
+def _route_files(tmp: Path) -> dict:
+    files = {name: tmp / base for name, base in [
+        ("M", "m.jsonl"), ("C", "c.jsonl"), ("C2", "c2.jsonl"), ("G", "g.jsonl"), ("P", "p.jsonl"),
+        ("F", "afile"), ("D", "adir"), ("X", "missing.jsonl"), ("O", "nodir/o"),
+    ]}
+    jsonl.write(files["M"], sample_gamma(1.0, Window((0.0,), (1.0,)), 0.5, 0)[0])
+    jsonl.write(files["C"], make_configuration([(1.0, [0.0]), (2.0, [0.0])], 1))
+    jsonl.write(files["C2"], make_configuration([(1.0, [0.0, 0.0])], 2))
+    files["G"].write_text("definitely not jsonl\n")
+    files["P"].write_text('{"d":1,"kind":"plato"}\n{"s":1.0,"x":[0.5]}\n{"s":2.0,"x":[0.5]}\n')
+    files["F"].write_text("x")
+    files["D"].mkdir()
+    return files
+
+
+@pytest.mark.parametrize("route", list(FAILURE_ROUTES))
+def test_failure_route_exit_code_and_stderr(tmp_path, monkeypatch, capsys, route):
+    argv, code, message = FAILURE_ROUTES[route]
+    files = _route_files(tmp_path)
+    monkeypatch.delenv("PLATO_CONE_SEED", raising=False)
+    if argv[0].startswith("PLATO_CONE_SEED="):
+        monkeypatch.setenv("PLATO_CONE_SEED", argv.pop(0).partition("=")[2])
+    argv = [str(files[a]) if a in files else a.replace("TMP", str(tmp_path)) for a in argv]
+    assert run(argv) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"platocone: error: {message.replace('TMP', str(tmp_path))}\n"
+    assert not (tmp_path / "nodir").exists()
+
+
 def test_usage_error_exit_code():
     assert run(["sample"]) == 2
     assert run(["no-such-command"]) == 2

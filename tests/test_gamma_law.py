@@ -12,12 +12,15 @@ atoms at the points of a Poisson process with intensity
   exp(-theta |A| [E1(eps) - E1(eps (1 + c))])`` for the atoms kept above
   ``eps`` (Campbell's theorem; Kingman, *Poisson Processes*, 1993, ch. 3);
 * the masses of disjoint sub-windows are independent Gamma(theta |A_i|, 1)
-  (up to the truncated mass, about 1e-8 per unit volume at eps 1e-8).
+  (up to the truncated mass, about 1e-8 per unit volume at eps 1e-8);
+* positions are uniform on the window and independent of the marks, for
+  both samplers.
 
 Each distance test is a Kolmogorov-Smirnov distance on fixed seeds
 against the asymptotic 0.1 % critical value ``1.95 / sqrt(n)``; the
 Laplace mean may stray 4 standard errors, the chi-square statistic 4
-standard deviations above its degrees of freedom.
+standard deviations above its degrees of freedom (or up to its 0.1 %
+quantile, where that is quoted).
 """
 
 import math
@@ -137,3 +140,55 @@ def test_masses_of_disjoint_sub_windows_are_independent_gamma():
     np.add.at(table, (cells[:, 0], cells[:, 1]), 1.0)
     result = chi_square_independence(table)
     assert result.statistic < result.dof + 4.0 * math.sqrt(2.0 * result.dof), result
+
+
+BOX = Window((0.0, 0.0), (2.0, 1.0))
+# 0.999 quantiles of the chi-square law with 21 and 14 degrees of freedom
+CHI2_999 = {21: 46.80, 14: 36.12}
+
+
+def position_cells(positions: np.ndarray) -> np.ndarray:
+    """The index of each position's cell in the 4 x 2 grid of 1/2 x 1/2 squares on BOX."""
+    column = np.minimum((positions[:, 0] * 2.0).astype(int), 3)
+    return column * 2 + np.minimum((positions[:, 1] * 2.0).astype(int), 1)
+
+
+def independence(rows: np.ndarray, positions: np.ndarray, n_rows: int):
+    table = np.zeros((n_rows, 8))
+    np.add.at(table, (rows, position_cells(positions)), 1.0)
+    return chi_square_independence(table)
+
+
+def mark_quantile(p: float) -> float:
+    """The p-quantile of the kept-mark law 1 - E1(s) / E1(EPS)."""
+    lo, hi = EPS, 50.0
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if 1.0 - exp_integral_e1(mid) / E1_EPS < p else (lo, mid)
+    return 0.5 * (lo + hi)
+
+
+def test_positions_are_uniform_and_independent_of_the_marks():
+    # about 4000 atoms over 500 draws
+    etas = [sample_gamma(1.0, BOX, EPS, seed)[0] for seed in range(500)]
+    marks = np.concatenate([eta.marks for eta in etas])
+    positions = np.concatenate([eta.positions for eta in etas])
+    for axis, length in enumerate(BOX.upper):
+        d = ks(positions[:, axis], lambda x: x / length)
+        assert d < critical(len(positions)), (axis, d)
+    # the mark law's quartiles against the position cells
+    quartile = np.searchsorted([mark_quantile(p) for p in (0.25, 0.5, 0.75)], marks)
+    result = independence(quartile, positions, 4)
+    assert result.statistic < CHI2_999[result.dof], result
+
+
+def test_ordered_positions_are_uniform_and_independent_of_the_jump_rank():
+    n_jumps = 18
+    etas = [sample_gamma_ordered(1.0, BOX, n_jumps, seed)[0] for seed in range(300)]
+    positions = np.concatenate([eta.positions for eta in etas])
+    d = ks(positions[:, 0], lambda x: x / 2.0)
+    assert d < critical(len(positions)), d
+    # atoms are stored in position order; rank 0 is the largest jump
+    ranks = np.concatenate([np.argsort(np.argsort(-eta.marks)) for eta in etas])
+    result = independence(ranks // (n_jumps // 3), positions, 3)
+    assert result.statistic < CHI2_999[result.dof], result
