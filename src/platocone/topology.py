@@ -45,7 +45,16 @@ from .configuration import (
     make_configuration,
 )
 from .cone import DiscreteMeasure
-from .errors import DimensionMismatch, EqualMarks, InvalidArgument, NonPositiveMark, _integer, _positive, _real, _real_pair
+from .errors import (
+    DimensionMismatch,
+    EqualMarks,
+    InvalidArgument,
+    NonPositiveMark,
+    _integer,
+    _positive,
+    _real,
+    _real_pair,
+)
 from .plato import reflect_inverse
 
 # slack for the "non-increasing tail" check; absorbs last-bit wobble in

@@ -321,7 +321,8 @@ _STATS = ["--theta", "1", "--epsilon", "0.5"]
 # Every failure route of the command line's own checks: argv, exit code and
 # the one stderr line after "platocone: error: ".  In argv and message, TMP
 # is the test's directory and M, C, C2, G, P, F, D, X and O are the paths
-# made by ``_route_files``; O is never written.
+# made by ``_route_files``; O is never written.  A leading
+# "PLATO_CONE_SEED=V" sets that variable for the run.
 FAILURE_ROUTES = {
     "window-not-numbers": (_GAMMA + ["--window", "a,b", "--out", "O"], 2,
                            "--window expects comma-separated numbers, got 'a,b'"),
@@ -422,7 +423,8 @@ def test_failure_route_exit_code_and_stderr(tmp_path, monkeypatch, capsys, route
     files = _route_files(tmp_path)
     monkeypatch.delenv("PLATO_CONE_SEED", raising=False)
     if argv[0].startswith("PLATO_CONE_SEED="):
-        monkeypatch.setenv("PLATO_CONE_SEED", argv.pop(0).partition("=")[2])
+        monkeypatch.setenv("PLATO_CONE_SEED", argv[0].partition("=")[2])
+        argv = argv[1:]
     argv = [str(files[a]) if a in files else a.replace("TMP", str(tmp_path)) for a in argv]
     assert run(argv) == code
     captured = capsys.readouterr()
