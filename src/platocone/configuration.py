@@ -44,6 +44,7 @@ from .errors import (
     NonPositiveMark,
     NotCanonical,
     _integer,
+    _iterable,
     _positive,
     _real,
     _real_pair,
@@ -104,8 +105,8 @@ class Window:
     mark_interval: tuple | None = None
 
     def __post_init__(self):
-        lo = tuple(_real(v, "window bound") for v in self.lower)
-        hi = tuple(_real(v, "window bound") for v in self.upper)
+        lo = tuple(_real(v, "window bound") for v in _iterable(self.lower, "window bounds"))
+        hi = tuple(_real(v, "window bound") for v in _iterable(self.upper, "window bounds"))
         if len(lo) != len(hi):
             raise DimensionMismatch(f"window bounds of unequal length: {len(lo)} vs {len(hi)}")
         if len(lo) == 0:
@@ -548,7 +549,7 @@ def _rows(raw, d: int):
     integer ``d``; with points, any ``d`` that is not their length is a
     ``DimensionMismatch``)."""
     values, coords = [], []
-    for item in raw:
+    for item in _iterable(raw, "points"):
         try:
             v, x = (item.mark, item.position) if isinstance(item, MarkedPoint) else item
             n = len(x)

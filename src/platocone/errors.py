@@ -108,6 +108,14 @@ def _reals(values, name: str, error=InvalidArgument) -> np.ndarray:
         raise error(f"{name} must be an array of real numbers") from None
 
 
+def _iterable(values, name: str):
+    """``iter(values)``; ``InvalidArgument`` if ``values`` is not iterable."""
+    try:
+        return iter(values)
+    except TypeError:
+        raise InvalidArgument(f"{name} must be iterable, got {values!r}") from None
+
+
 def _real_pair(values, name: str) -> tuple:
     """Two reals ``(a, b)``, each a ``NAME bound``."""
     try:

@@ -7,22 +7,18 @@ one atom ``{"w": <weight>, "x": [<coords>]}``.
 
 Files written here are canonical: records appear in canonical storage
 order and floats are rendered with the shortest decimal representation
-that round-trips (Python's ``repr``).  Parsing a canonical file and
-serializing the result reproduces the input byte for byte, and every
-finite double survives the round trip bit for bit.
+that round-trips (Python's ``repr``, rendered for every record by one
+``%`` format).  Parsing a canonical file and serializing the result
+reproduces the input byte for byte, and every finite double survives
+the round trip bit for bit.
 
-Both directions work on the whole file at once.  ``serialize`` renders
-every record with one ``%`` format; ``%r`` of a float is
-``float.__repr__``, which is also what ``json.dumps`` writes.  ``parse``
-decodes every nonempty line in one comprehension, exactly as
-``json.loads`` would, and then checks keys, lengths and number types
-over the whole list.  Only when that pass rejects the file does the
-per-line pass run, and only to name the failing line: it raises on
-every file it sees, so there is one path that accepts a file.  (One
-``json.loads`` of the lines joined into an array cannot replace the
-per-line decode: a duplicate key can hide an object or list that spans
-two lines, so a joined file can decode to well-formed records while its
-lines do not.)
+``parse`` reads a file spelled exactly as ``serialize`` writes it with
+one pattern scan and one C number scan.  Every record line of such a
+file is ``{"K":F,"x":[F,...]}`` where each number ``F`` has a fraction
+or an exponent, so ``json.loads`` would give ``float(F)``, which is what
+``np.fromstring`` gives.  Any other spelling (whitespace, key order,
+duplicate keys, integers, other line ends) is decoded line by line with
+``json.loads``, more slowly, to the same result.
 
 Parsing is strict: the records go straight into the validating
 constructor, never through the merging ``make_*`` builders.  A record
@@ -37,6 +33,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -51,8 +48,9 @@ KIND_CONFIGURATION = "configuration"
 KIND_PLATO = "plato"
 KIND_MEASURE = "measure"
 _KINDS = (KIND_CONFIGURATION, KIND_PLATO, KIND_MEASURE)
-_JSON_WS = " \t\n\r"
-_raw_decode = json.JSONDecoder().raw_decode
+# a JSON number with a fraction or an exponent: json.loads gives float(token)
+_NUMBER = r"-?(?:0|[1-9]\d*)(?:\.\d+(?:[eE][-+]?\d+)?|[eE][-+]?\d+)"
+_TO_COMMA = bytes.maketrans(b"\n", b",")
 # the decoder recurses once per nesting level and raises RecursionError
 # past the interpreter's limit
 _TOO_DEEP = "values nested too deeply"
@@ -86,7 +84,7 @@ def _loads(line: str, what: str):
         raise JsonlFormatError(f"{what} ({_TOO_DEEP})") from None
 
 
-def _parse_record(line: str, lineno: int, value_key: str, d: int):
+def _parse_record(line: str, lineno: int, value_key: str, d: int) -> list:
     rec = _loads(line, f"line {lineno}: invalid JSON")
     if not isinstance(rec, dict) or set(rec) != {value_key, "x"}:
         raise JsonlFormatError(f"line {lineno}: expected keys {{{value_key!r}, 'x'}}")
@@ -96,36 +94,26 @@ def _parse_record(line: str, lineno: int, value_key: str, d: int):
     # type(), not isinstance(): JSON true/false load as bool, an int subclass
     if not all(type(v) in (int, float) for v in [value, *x]):
         raise JsonlFormatError(f"line {lineno}: {value_key!r} and 'x' must hold JSON numbers")
-    return value, x
+    return [value, *x]
 
 
-def _decode_records(lines: list, value_key: str, d: int):
-    """The whole-file pass: ``(values, coordinate lists)`` of the record
-    lines, or None when any line fails a check of :func:`_parse_record`.
-
-    ``raw_decode`` of a line stripped of JSON whitespace that consumes the
-    whole line gives what ``json.loads`` of the line gives, and fails where
-    it fails.
-    """
-    stripped = [line.strip(_JSON_WS) for line in lines]
+def _canonical_rows(text: str, d: int, kind: str):
+    """The records of ``text`` as rows ``[value, *x]`` of a float array when
+    ``text`` is spelled exactly as :func:`serialize` writes it, else None."""
+    header = _dump_line({"d": d, "kind": kind}) + "\n"
+    if not text.startswith(header):
+        return None
+    key = "w" if kind == KIND_MEASURE else "s"
     try:
-        decoded = [_raw_decode(s) for s in stripped]
-    except (ValueError, RecursionError):  # also too many digits or too deep a nesting
+        record = re.compile(r'\{"%s":%s,"x":\[%s(?:,%s){%d}\]\}\n' % (key, *[_NUMBER] * 3, d - 1), re.ASCII)
+    except OverflowError:  # d - 1 past the repeat limit of re
         return None
-    if not all(end == len(s) for (_, end), s in zip(decoded, stripped)):
+    body = text[len(header):]
+    # sub, not fullmatch("(?:record)*"), which holds state for every line
+    if record.sub("", body):
         return None
-    keys = {value_key, "x"}
-    records = [rec for rec, _ in decoded]
-    if not all(type(rec) is dict and rec.keys() == keys for rec in records):
-        return None
-    values = [rec[value_key] for rec in records]
-    xs = [rec["x"] for rec in records]
-    if not all(type(x) is list and len(x) == d for x in xs):
-        return None
-    # type(), not isinstance(): JSON true/false load as bool, an int subclass
-    if not {type(v) for v in values}.union([type(v) for x in xs for v in x]) <= {int, float}:
-        return None
-    return values, xs
+    numbers = body.encode("ascii").translate(_TO_COMMA, b'{}[]"swx:')
+    return np.fromstring(numbers, sep=",").reshape(-1, d + 1)
 
 
 def _fits_double(numbers) -> bool:
@@ -146,10 +134,10 @@ def parse(text: str):
     message names the line), and :class:`NotPinpointing` when a ``plato``
     file carries a duplicated position.
     """
-    lines = text.splitlines()
-    if not lines:
+    if not text:
         raise JsonlFormatError("empty input: missing header line")
-    header = _loads(lines[0], "invalid JSON header")
+    head = text.partition("\n")[0]
+    header = _loads((head.splitlines() or [""])[0], "invalid JSON header")
     if not isinstance(header, dict) or set(header) != {"d", "kind"}:
         raise JsonlFormatError("header must be exactly {\"d\": <int>, \"kind\": <kind>}")
     d = _integer(header["d"], "header 'd'", error=JsonlFormatError)
@@ -157,26 +145,25 @@ def parse(text: str):
     if kind not in _KINDS:
         raise JsonlFormatError(f"header 'kind' must be one of {_KINDS}, got {kind!r}")
 
-    value_key = "w" if kind == KIND_MEASURE else "s"
-    linenos = [i + 2 for i, line in enumerate(lines[1:]) if line]
-    records = _decode_records([lines[n - 1] for n in linenos], value_key, d)
-    if records is None:
-        for n in linenos:
-            _parse_record(lines[n - 1], n, value_key, d)
-        raise AssertionError("the per-line pass accepted records the whole-file pass rejected")
-    values, xs = records
-    try:
-        marks = np.array(values, dtype=float)
-        positions = np.array(xs, dtype=float).reshape(len(xs), d)
-    except OverflowError:
-        # a JSON integer beyond the double range; find its line
-        lineno = next(n for n, v, x in zip(linenos, values, xs) if not _fits_double([v, *x]))
-        raise JsonlFormatError(f"line {lineno}: number beyond the double range") from None
-    finite = np.isfinite(marks) & np.isfinite(positions).all(axis=1)
+    rows = _canonical_rows(text, d, kind)
+    if rows is not None:
+        linenos = range(2, 2 + len(rows))
+    else:
+        lines = text.splitlines()
+        linenos = [i + 2 for i, line in enumerate(lines[1:]) if line]
+        value_key = "w" if kind == KIND_MEASURE else "s"
+        records = [_parse_record(lines[n - 1], n, value_key, d) for n in linenos]
+        try:
+            rows = np.array(records, dtype=float).reshape(-1, d + 1)
+        except OverflowError:
+            # a JSON integer beyond the double range; find its line
+            lineno = next(n for n, r in zip(linenos, records) if not _fits_double(r))
+            raise JsonlFormatError(f"line {lineno}: number beyond the double range") from None
+    finite = np.isfinite(rows).all(axis=1)
     if not finite.all():
         raise JsonlFormatError(f"line {linenos[np.argmin(finite)]}: numbers must be finite")
     try:
-        obj = (DiscreteMeasure if kind == KIND_MEASURE else Configuration)(marks, positions)
+        obj = (DiscreteMeasure if kind == KIND_MEASURE else Configuration)(rows[:, 0], rows[:, 1:])
     except NotCanonical as exc:
         raise JsonlFormatError(
             f"line {linenos[exc.index]}: record repeats or precedes the one before it; "

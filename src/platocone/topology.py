@@ -51,6 +51,7 @@ from .errors import (
     InvalidArgument,
     NonPositiveMark,
     _integer,
+    _iterable,
     _positive,
     _real,
     _real_pair,
@@ -332,7 +333,7 @@ def hat_family(
     if not (isinstance(window, Window) and window.is_bounded()):
         raise InvalidArgument("hat_family requires a bounded window")
     d = window.dimension
-    shape = tuple(_integer(g, "grid_shape entry") for g in grid_shape)
+    shape = tuple(_integer(g, "grid_shape entry") for g in _iterable(grid_shape, "grid_shape"))
     if len(shape) != d:
         raise InvalidArgument("grid_shape needs one cell count per axis")
     a, b = _real_pair(mark_interval, "mark_interval")

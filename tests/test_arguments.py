@@ -86,6 +86,9 @@ CASES = {
     "MarkedPoint mark": (lambda v: MarkedPoint(v, (0.0,)), NonPositiveMark, FINITE),
     "MarkedPoint coordinate": (lambda v: MarkedPoint(1.0, (v,)), InvalidArgument, FINITE),
     "Window bound": (lambda v: Window((v,), (1.0,)), InvalidArgument, REAL + [math.inf]),
+    "Window lower": (lambda v: Window(v, (1.0,)), InvalidArgument, NOT_REAL + [0.0]),
+    "Window upper": (lambda v: Window((0.0,), v), InvalidArgument, NOT_REAL + [1.0]),
+    "Window scalar bounds": (lambda v: Window(v, 1.0), InvalidArgument, [0.0]),
     "Window mark interval": (lambda v: Window((0.0,), (1.0,), (v, 2.0)), InvalidArgument, FINITE),
     "Window mark interval pair": (lambda v: Window((0.0,), (1.0,), v), InvalidArgument, NOT_PAIR[1:] + ["x"]),
     "TestFunction support": (lambda v: TestFunction(lambda s, x: 1.0, v), InvalidArgument, NOT_WINDOW),
@@ -100,6 +103,7 @@ CASES = {
     "make_configuration coordinate": (lambda v: make_configuration([(1.0, (v,))], 1), InvalidArgument, FINITE),
     "Configuration marks": (lambda v: Configuration([v], [[0.5]]), NonPositiveMark, FINITE),
     "make_configuration point": (lambda v: make_configuration([v], 1), InvalidArgument, NOT_POINT),
+    "make_configuration points": (lambda v: make_configuration(v, 1), InvalidArgument, [None, 1.0]),
     "make_configuration d": (lambda v: make_configuration([], v), InvalidArgument, INTEGER + [0]),
     # with points, a d that is not their length is a dimension mismatch
     "make_configuration d with points": (lambda v: make_configuration([(1.0, (0.5,))], v), DimensionMismatch, INTEGER),
@@ -110,6 +114,7 @@ CASES = {
     "make_measure weight": (lambda v: make_measure([(v, (0.5,))], 1), NonPositiveWeight, FINITE),
     "make_measure coordinate": (lambda v: make_measure([(1.0, (v,))], 1), InvalidArgument, FINITE),
     "make_measure point": (lambda v: make_measure([v], 1), InvalidArgument, NOT_POINT),
+    "make_measure points": (lambda v: make_measure(v, 1), InvalidArgument, [None, 1.0]),
     "make_measure d": (lambda v: make_measure([], v), InvalidArgument, INTEGER + [0]),
     "make_measure d with points": (lambda v: make_measure([(1.0, (0.5,))], v), DimensionMismatch, INTEGER),
     "zero_measure d": (zero_measure, InvalidArgument, INTEGER + [0, -1]),
@@ -159,6 +164,7 @@ CASES = {
         lambda v: hat_function((0.5,), 0.5, mark_center=1.0, mark_half_width=v), InvalidArgument, FINITE[1:]
     ),
     "hat_family grid_shape": (lambda v: hat_family(UNIT, (v,), (0.0, 1.0)), InvalidArgument, INTEGER),
+    "hat_family grid_shape sequence": (lambda v: hat_family(UNIT, v, (0.0, 1.0)), InvalidArgument, [None, 2]),
     "hat_family window": (lambda v: hat_family(v, (2,), (0.0, 1.0)), InvalidArgument, NOT_WINDOW),
     "hat_family mark_interval": (lambda v: hat_family(UNIT, (2,), (0.0, v)), InvalidArgument, FINITE),
     "hat_family mark_interval pair": (lambda v: hat_family(UNIT, (2,), v), InvalidArgument, NOT_PAIR),

@@ -430,3 +430,94 @@ def test_malformed_records_rejected_like_the_oracle(body):
 def test_nested_values_under_duplicate_keys_accepted_like_the_oracle():
     text = '{"d":1,"kind":"measure"}\n{"w":{"a":[{}]},"w":1.0,"x":"}{","x":[0.5]}\n'
     assert assert_parsers_agree(text)[0] == "accepts"
+
+
+# ---------------------------------------------------------------------------
+# The canonical path: files spelled exactly as ``serialize`` writes them are
+# read by one pattern scan and one number scan.
+
+
+def _edge_objects():
+    objects = []
+    for d in (1, 2, 3):
+        points = [
+            (m, [_EDGE_FLOATS[(i + k) % 8] * (-1) ** k for k in range(d)])
+            for i, m in enumerate(_EDGE_FLOATS)
+        ]
+        config = make_configuration(points, d)
+        objects += [config, make_measure(points, d), to_plato(config)]
+    return objects
+
+
+@_SETTINGS
+@given(st.one_of(point_sets(), st.sampled_from(_edge_objects())))
+def test_serialize_output_takes_the_canonical_path(obj):
+    text = jsonl.serialize(obj)
+    kind = json.loads(text.partition("\n")[0])["kind"]
+    rows = jsonl._canonical_rows(text, obj.dimension, kind)
+    assert rows is not None, "serialize wrote a file the canonical pattern does not match"
+    assert rows.tobytes() == np.column_stack((obj.marks, obj.positions)).tobytes()
+
+
+_CANONICAL = '{"d":1,"kind":"measure"}\n{"w":0.5,"x":[0.25]}\n{"w":2.0,"x":[0.5]}\n'
+
+
+def _respell(old, new):
+    assert old in _CANONICAL
+    return _CANONICAL.replace(old, new, 1)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        _CANONICAL,
+        _respell('"w":2.0', '"w":2'),
+        _respell("[0.25]", "[-0]"),
+        _respell("[0.25]", "[-0.0]"),
+        _respell('"w":2.0', '"w":2.'),
+        _respell("[0.25]", "[.5]"),
+        _respell('"w":2.0', '"w":+2'),
+        _respell('"w":2.0', '"w":02.0'),
+        _respell('"w":2.0', '"w":1E5'),
+        _respell('"w":2.0', '"w":2.0E-0'),
+        _respell('"w":2.0', '"w":1e400'),
+        _respell("[0.5]", "[1e-400]"),
+        _CANONICAL.replace("\n", "\r\n"),
+        _CANONICAL.replace("\n", "\r"),
+        _CANONICAL[:-1],
+        _CANONICAL + "\n",
+        _respell("\n{", "\n\n{"),
+        "\ufeff" + _CANONICAL,
+        _respell('\n{"w":2.0', '\n\ufeff{"w":2.0'),
+        _respell('"w":2.0,', '"w":2.0, '),
+        _respell('{"d":1', '{"d": 1'),
+        _respell('{"d":1,"kind":"measure"}', '{"kind":"measure","d":1}'),
+        # past the repeat count a compiled pattern can hold
+        _respell('{"d":1', '{"d":4294967296'),
+    ],
+    ids=[
+        "canonical", "integer", "minus-zero-integer", "minus-zero", "trailing-point", "leading-point",
+        "plus-sign", "leading-zero", "capital-exponent", "zero-exponent", "overflow", "underflow",
+        "crlf", "cr", "no-final-newline", "final-blank-line", "blank-line", "bom-header", "bom-record",
+        "space-in-record", "space-in-header", "header-keys-reordered", "huge-dimension",
+    ],
+)
+def test_spellings_next_to_the_canonical_form_parse_like_the_oracle(text):
+    assert_parsers_agree(text)
+
+
+def test_number_scan_equals_float_bit_for_bit():
+    """``np.fromstring(..., sep=",")``, the canonical path's number scan,
+    reads every token as ``float(token)`` does."""
+    rng = np.random.default_rng(24)
+    doubles = rng.integers(0, 2**64, 40_000, dtype=np.uint64).view(np.float64)
+    subnormals = rng.integers(1, 2**52, 5_000, dtype=np.uint64).view(np.float64)
+    values = [v for v in np.concatenate((doubles, subnormals, -subnormals)).tolist() if np.isfinite(v)]
+    tokens = [repr(v) for v in values] + ["%.17e" % v for v in values] + ["%.25E" % v for v in values[:5_000]]
+    tokens += [str(int(v)) for v in rng.integers(-(2**62), 2**62, 10_000).tolist()]
+    tokens += [str(int(v)) for v in values[:2_000] if abs(v) < 1e300]
+    tokens += ["5e-324", "2.4703282292062328e-324", "2.2250738585072011e-308", "1.7976931348623157e308"]
+    assert len(tokens) >= 100_000
+    scanned = np.fromstring(",".join(tokens).encode("ascii"), sep=",")
+    expected = np.array([float(t) for t in tokens])
+    assert scanned.view(np.uint64).tolist() == expected.view(np.uint64).tolist()
