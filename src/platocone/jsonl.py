@@ -1,7 +1,8 @@
 """JSONL persistence for configurations, pinpointing configurations and measures.
 
 One object per file.  The first line is a header ``{"d": <int>, "kind":
-<kind>}`` with kind one of ``configuration``, ``plato`` or ``measure``;
+<kind>}`` with ``1 <= d <= 2^32`` and kind one of ``configuration``,
+``plato`` or ``measure``;
 every following line is one point ``{"s": <mark>, "x": [<coords>]}`` or
 one atom ``{"w": <weight>, "x": [<coords>]}``.
 
@@ -66,12 +67,14 @@ def serialize(obj) -> str:
     kind = kinds.get(type(obj))
     if kind is None:
         raise JsonlFormatError(f"cannot serialize object of type {type(obj).__name__}")
-    key = "w" if kind == KIND_MEASURE else "s"
     d = obj.dimension
+    header = _dump_line({"d": d, "kind": kind}) + "\n"
+    if not len(obj.marks):  # no record template: d may be 2^32
+        return header
+    key = "w" if kind == KIND_MEASURE else "s"
     record = '{"%s":%%r,"x":[%s]}\n' % (key, ",".join(["%r"] * d))
     values = np.column_stack((obj.marks, obj.positions)).ravel().tolist()
-    header = _dump_line({"d": d, "kind": kind})
-    return header + "\n" + record * len(obj.marks) % tuple(values)
+    return header + record * len(obj.marks) % tuple(values)
 
 
 def _loads(line: str, what: str):
@@ -140,7 +143,8 @@ def parse(text: str):
     header = _loads((head.splitlines() or [""])[0], "invalid JSON header")
     if not isinstance(header, dict) or set(header) != {"d", "kind"}:
         raise JsonlFormatError("header must be exactly {\"d\": <int>, \"kind\": <kind>}")
-    d = _integer(header["d"], "header 'd'", error=JsonlFormatError)
+    # d + 1 must fit numpy's shapes; one record of 2^32 coordinates is already 17 GB
+    d = _integer(header["d"], "header 'd'", high=2**32 + 1, error=JsonlFormatError)
     kind = header["kind"]
     if kind not in _KINDS:
         raise JsonlFormatError(f"header 'kind' must be one of {_KINDS}, got {kind!r}")

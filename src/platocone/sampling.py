@@ -27,11 +27,11 @@ Reproducibility contract: a sampler's output is a pure function of
 atom count of a run never depends on how many mark or position draws
 another part of the pipeline consumed.  All randomness reduces to
 uniform doubles from PCG64, the most version- and platform-stable part
-of the generator API.  The marks substream has a fixed layout (see
-``_rejection_marks``); nothing reads it after the marks, so a sampler
-may draw past the last uniform it uses without moving a bit.  Marks take
-``exp`` and ``log`` from ``stats._exp`` and ``stats._log``, so their
-bits do not depend on the CPU.  The ordered sampler inverts E1 by
+of the generator API.  The marks substream is one pool read by one
+reader (see ``_rejection_marks``); nothing reads it after the marks, so
+a sampler may draw past the last uniform it uses without moving a bit.
+Marks take ``exp`` and ``log`` from ``stats._exp`` and ``stats._log``,
+so their bits do not depend on the CPU.  The ordered sampler inverts E1 by
 safeguarded Newton (bisection steps where Newton leaves the analytic
 bracket) to relative tolerance 1e-12 on the mark; its report certifies
 the run with the largest iteration count and the worst E1 residual, and
@@ -431,55 +431,55 @@ def _rejection_marks(rng: np.random.Generator, n: int, epsilon: float):
     ``(E1(epsilon) - E1(1)) / E1(epsilon)``.  Each round draws U, V for
     every mark still open: below 1 it proposes ``s = epsilon^(1 - U)``
     and accepts if ``ln V < epsilon - s``, at or above 1 it proposes
-    ``s = 1 - ln U`` and accepts if ``V s < 1``.  The later rounds read
-    their uniforms from blocks of ``16 + n // 4`` or more drawn ahead,
-    so one ``_exp`` and one ``_log`` call serve most calls.
+    ``s = 1 - ln U`` and accepts if ``V s < 1``.  One reader takes
+    uniforms from one pool indexed by stream position: mark i's (branch,
+    U, V) at ``3i .. 3i + 2``, then per round a (U, V) pair per open mark
+    in index order; each pass gives every zero left the next unread
+    uniform, as ``_uniforms_open`` does.  The pool keeps ``16 + n // 4``
+    or more uniforms ahead, so one ``_exp`` and ``_log`` serve most calls.
     """
     if not n:
         return np.empty(0), 0
     e1_eps, ln_eps = _e1_at(epsilon)
-    # mark i draws (branch, U, V) as uniforms 3i .. 3i + 2, so its first
-    # proposal does not depend on how many marks there are
-    branch, u, v = _uniforms_open(rng, (n, 3)).T
-    below = branch * e1_eps >= _E1_SERIES_AT_ONE
     block = 16 + n // 4
-    ahead = rng.random(block)
-    # index i < n holds mark i's first round, n + j the j-th uniform drawn
-    # ahead; one log for both branches: ln V decides below 1, ln U proposes above
-    vs = np.concatenate((v, ahead))
-    exps = stats._exp((1.0 - np.concatenate((u, ahead))) * ln_eps)
-    logs = stats._log(np.concatenate((np.where(below, v, u), ahead)))
-    marks = np.empty(n)
-    live = at_u = at_v = np.arange(n)
-    rounds = 0
-    read = n
-    while live.size:
-        if rounds:
-            # one (U, V) pair per open mark, in index order; each pass gives
-            # every zero left the next unread uniform, as _uniforms_open does
-            at = np.arange(read, read + 2 * live.size)
-            read += at.size
-            while True:
-                if read > vs.size:
-                    more = rng.random(max(block, read - vs.size))
-                    vs = np.concatenate((vs, more))
-                    exps = np.concatenate((exps, stats._exp((1.0 - more) * ln_eps)))
-                    logs = np.concatenate((logs, stats._log(more)))
-                zero = vs[at] == 0.0
-                if not zero.any():
-                    break
-                k = int(zero.sum())
-                at[zero] = np.arange(read, read + k)
-                read += k
-            at_u, at_v = at[0::2], at[1::2]
+    pool = np.concatenate((rng.random(3 * n), rng.random(block)))
+    exps, logs = stats._exp((1.0 - pool) * ln_eps), stats._log(pool)
+    read = 0
+
+    def take(k):
+        nonlocal pool, exps, logs, read
+        at = np.arange(read, read + k)
+        read += k
+        while True:
+            if read > pool.size:
+                more = rng.random(max(block, read - pool.size))
+                pool = np.concatenate((pool, more))
+                exps = np.concatenate((exps, stats._exp((1.0 - more) * ln_eps)))
+                logs = np.concatenate((logs, stats._log(more)))
+            zero = pool[at] == 0.0
+            if not zero.any():
+                return at
+            k = int(zero.sum())
+            at[zero] = np.arange(read, read + k)
+            read += k
+
+    at = take(3 * n)
+    below = pool[at[0::3]] * e1_eps >= _E1_SERIES_AT_ONE
+    at_u, at_v = at[1::3], at[2::3]
+    marks, live, rounds = np.empty(n), np.arange(n), 0
+    while True:
         rounds += 1
+        # one log for both branches: ln V decides below 1, ln U proposes above
         low = below[live]
         log_w = logs[np.where(low, at_v, at_u)]
         s = np.where(low, exps[at_u], 1.0 - log_w)
-        accept = np.where(low, log_w < epsilon - s, vs[at_v] * s < 1.0)
+        accept = np.where(low, log_w < epsilon - s, pool[at_v] * s < 1.0)
         marks[live[accept]] = s[accept]
         live = live[~accept]
-    return marks, rounds
+        if not live.size:
+            return marks, rounds
+        at = take(2 * live.size)
+        at_u, at_v = at[0::2], at[1::2]
 
 
 def sample_gamma(theta: float, lam: Window, epsilon: float, seed: int):

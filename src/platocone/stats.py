@@ -186,7 +186,9 @@ def gamma_cdf(shape: float, scale: float, x: float) -> float:
 
     Series expansion for x/scale < shape + 1, continued fraction for the
     complement otherwise; both terminate at relative 1e-16 per step, for
-    an absolute error below 1e-10.
+    an absolute error below 1e-10.  Where x/scale underflows to 0.0, its
+    logarithm is taken as ``ln x - ln scale``, so a small shape keeps the
+    mass it has near 0; where x/scale overflows, the result is 1.0.
     """
     shape = _positive(shape, "gamma_cdf shape")
     scale = _positive(scale, "gamma_cdf scale")
@@ -200,7 +202,11 @@ def gamma_cdf(shape: float, scale: float, x: float) -> float:
     except OverflowError:
         raise InvalidArgument(f"gamma_cdf shape {shape!r} is too large: ln Gamma(shape) overflows") from None
     t = x / scale
-    log_prefactor = -t + shape * math.log(t) - log_gamma
+    if t == math.inf:
+        return 1.0
+    # an underflowed t keeps its logarithm
+    log_t = math.log(t) if t else math.log(x) - math.log(scale)
+    log_prefactor = -t + shape * log_t - log_gamma
     if t < shape + 1.0:
         # series: P(a, t) = t^a e^-t / Gamma(a) * sum_n t^n / (a (a+1) ... (a+n))
         ap = shape

@@ -21,6 +21,7 @@ from platocone import (
     make_configuration,
     make_measure,
     to_plato,
+    zero_measure,
 )
 from platocone import jsonl
 
@@ -143,6 +144,33 @@ def test_non_canonical_file_exits_3(tmp_path):
     src = tmp_path / "dup.jsonl"
     src.write_text('{"d":1,"kind":"measure"}\n{"w":1.0,"x":[0.5]}\n{"w":2.0,"x":[0.5]}\n')
     assert main(["reflect", "--in", str(src), "--out", str(tmp_path / "out.jsonl")]) == 3
+
+
+@pytest.mark.parametrize("d", [2**32 + 1, 2**40, 10**20, 2**63 - 1])
+def test_header_dimension_above_two_to_the_32_is_a_format_error(d):
+    with pytest.raises(JsonlFormatError, match=r"header 'd' must be an integer in \[1, 4294967297\)"):
+        jsonl.parse(f'{{"d":{d},"kind":"measure"}}\n')
+
+
+def test_header_dimension_above_two_to_the_32_exits_3(tmp_path, capsys):
+    from platocone.cli import main
+
+    src = tmp_path / "wide.jsonl"
+    src.write_text('{"d":1099511627776,"kind":"measure"}\n')
+    assert main(["reflect", "--in", str(src), "--out", str(tmp_path / "out.jsonl")]) == 3
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "header 'd'" in err, err
+    assert not (tmp_path / "out.jsonl").exists()
+
+
+def test_empty_object_of_the_largest_dimension_round_trips():
+    # no record template is built, so no 2^32-entry list either
+    empty = zero_measure(2**32)
+    text = jsonl.serialize(empty)
+    assert text == '{"d":4294967296,"kind":"measure"}\n'
+    again = jsonl.parse(text)
+    assert again == empty and again.dimension == 2**32
+    assert jsonl.serialize(again) == text
 
 
 def test_integer_beyond_double_range_is_rejected_with_its_line():

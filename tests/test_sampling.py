@@ -412,18 +412,53 @@ def test_rejection_rounds_read_ahead_with_the_bits_of_one_draw_per_round():
 
 def test_zero_uniforms_are_redrawn_where_one_draw_per_round_redraws_them():
     n = 200
-    values = np.random.default_rng(7).random(200_000)
-    # the first block: a zero whose redraw is zero too
-    values[[4, 3 * n]] = 0.0
-    # from there on, two zeros in every three uniforms: every round of
-    # every block, and the rounds across the ends of the blocks drawn
-    # ahead, meet zeros and redraws of zeros
-    after = np.arange(3 * n + 1, values.size)
-    values[after[after % 3 != 0]] = 0.0
-    for eps in (1e-2, 0.5):
-        rng = RecordedDraws(PreparedUniforms(values))
-        rounds = assert_same_marks(rng, PreparedUniforms(values), n, eps)
-        assert rounds > 2 and len(rng.sizes) > 4, (eps, rounds, rng.sizes)
+    # the first block's zero falls on mark 1's U, its branch or its V
+    for first in (4, 3, 5):
+        values = np.random.default_rng(7).random(200_000)
+        # the first block: a zero whose redraw is zero too
+        values[[first, 3 * n]] = 0.0
+        # from there on, two zeros in every three uniforms: every round of
+        # every block, and the rounds across the ends of the blocks drawn
+        # ahead, meet zeros and redraws of zeros
+        after = np.arange(3 * n + 1, values.size)
+        values[after[after % 3 != 0]] = 0.0
+        for eps in (1e-2, 0.5):
+            rng = RecordedDraws(PreparedUniforms(values))
+            rounds = assert_same_marks(rng, PreparedUniforms(values), n, eps)
+            assert rounds > 2 and len(rng.sizes) > 4, (first, eps, rounds, rng.sizes)
+
+
+def test_one_kernel_pair_serves_each_draw_of_the_pool(monkeypatch):
+    """Per ``_rejection_marks`` call, one ``_exp`` and one ``_log`` call per
+    draw of the pool: the read-ahead block covers most calls' later rounds."""
+    from platocone import sampling
+
+    counts = {"_exp": 0, "_log": 0}
+
+    def counted(name, kernel):
+        def call(x):
+            counts[name] += 1
+            return kernel(x)
+
+        return call
+
+    for name in counts:
+        monkeypatch.setattr(stats, name, counted(name, getattr(stats, name)))
+    expected = {
+        (1e-8, 18, 2000): {1: 2000},
+        (1e-8, 600, 200): {1: 200},
+        (1e-2, 18, 2000): {1: 1979, 2: 21},
+        (0.5, 18, 2000): {1: 1669, 2: 327, 3: 4},
+    }
+    for (eps, n, seeds), histogram in expected.items():
+        sampling._e1_at(eps)  # ln epsilon is cached before counting
+        calls = []
+        for seed in range(seeds):
+            counts.update(_exp=0, _log=0)
+            _rejection_marks(substream(seed, 1), n, eps)
+            assert counts["_exp"] == counts["_log"], (eps, n, seed)
+            calls.append(counts["_exp"])
+        assert dict(zip(*np.unique(calls, return_counts=True))) == histogram, (eps, n)
 
 
 def test_count_and_position_substreams_are_untouched():

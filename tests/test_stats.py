@@ -115,6 +115,20 @@ def test_gamma_cdf_monotone_and_bounded():
     assert all(v < 1.0 for x, v in zip(xs, vals) if x <= 15.0)
 
 
+def test_gamma_cdf_where_x_over_scale_underflows_or_overflows():
+    # x / scale underflows to 0.0: ln t = ln x - ln scale, and for a small
+    # shape P(a, t) ~ t^a / Gamma(a + 1) is far from 0
+    assert gamma_cdf(2.0, 1e308, 1e-308) == 0.0
+    assert gamma_cdf(2.0, 1e300, 5e-324) == 0.0
+    log_t = math.log(1e-308) - math.log(1e308)
+    expected = math.exp(1e-3 * log_t - math.lgamma(1.001))
+    assert abs(gamma_cdf(1e-3, 1e308, 1e-308) / expected - 1.0) <= 1e-12
+    assert 0.2422 < expected < 0.2423
+    # x / scale overflows to inf
+    assert gamma_cdf(1.0, 1e-308, 1e308) == 1.0
+    assert gamma_cdf(1e300, 1e-300, 1e300) == 1.0
+
+
 def test_gamma_cdf_against_scipy():
     rng = np.random.default_rng(400)
     for _ in range(300):
